@@ -19,11 +19,13 @@ escape again, and refinement at a 30-degree bound does not terminate.
 
 :func:`plan_refinement` performs 1-3 with exact predicates and returns a
 :class:`RefinePlan`; :func:`apply_plan` performs 4 through the shared
-:func:`repro.meshing.cavity.retriangulate` core and refreshes quality
-flags.  The sequential and speculative-multicore baselines use these
-directly; the GPU kernel plans in vectorized device arithmetic
-(:mod:`.refine`) but applies winners through the same
-:func:`apply_plan`, so every path shares one mutation core.
+:func:`repro.meshing.cavity.retriangulate` core.  That core writes each
+fan in bulk and prices the new triangles' quality flags in the same
+write, so :func:`apply_plan` refreshes nothing afterwards.  The
+sequential and speculative-multicore baselines use these directly; the
+GPU kernel plans in vectorized device arithmetic (:mod:`.refine`) but
+applies winners through the same :func:`apply_plan`, so every path
+shares one mutation core.
 
 The *claim set* of a plan is the cavity plus its outer ring of
 neighbors: the rewrite updates adjacency links in the ring, so two
@@ -146,15 +148,14 @@ def apply_plan(mesh: TriMesh, plan: RefinePlan, slots: np.ndarray):
     """Execute a planned refinement; returns the CavityInfo.
 
     ``slots`` must hold at least ``len(plan.cavity) + 2`` free slots.
-    Raises ``RuntimeError`` if the plan is geometrically inconsistent
+    Raises :class:`~repro.errors.CavityError` (``NotStarShaped`` or
+    ``CavitySlotsExhausted``) if the plan is geometrically inconsistent
     (possible when it was produced by the device-arithmetic planner);
     callers treat that as an aborted operation.  The mesh is unmodified
-    on failure *only if* the failure is detected before deletion — the
-    retriangulation core validates star-shapedness first, which makes
-    that guarantee hold.
+    on failure: the retriangulation core runs every check before it adds
+    the point or deletes the cavity.  The fan's quality flags are priced
+    by that core's bulk write, so nothing is refreshed here.
     """
     if not plan.ok:
         raise ValueError(f"cannot apply skipped plan ({plan.reason})")
-    info = retriangulate(mesh, plan.cavity, plan.x, plan.y, slots)
-    mesh.recompute_quality(np.asarray(info.new_slots, dtype=np.int64))
-    return info
+    return retriangulate(mesh, plan.cavity, plan.x, plan.y, slots)

@@ -1,14 +1,22 @@
 """Cavity operations: point location, Delaunay cavity, retriangulation.
 
-These are the scalar (per-insertion) building blocks shared by the
-incremental Bowyer-Watson triangulator (:mod:`.triangulation`) and the
-sequential/speculative DMR baselines.  The GPU-style DMR kernel
-(:mod:`repro.dmr.refine`) re-implements cavity *expansion* in a
-level-synchronous vectorized form but reuses :func:`retriangulate`
-for the winners' rewrites, so both paths share one correctness core.
+These are the per-insertion building blocks shared by the incremental
+Bowyer-Watson triangulator (:mod:`.triangulation`), the concurrent point
+inserter (:mod:`.gpu_insert`) and all three DMR drivers.  The GPU-style
+DMR kernel (:mod:`repro.dmr.refine`) re-implements cavity *expansion* in
+a level-synchronous vectorized form but reuses :func:`retriangulate`
+for the winners' rewrites, so every path shares one correctness core.
 
-All structural decisions go through the exact-fallback predicates in
-:mod:`.geometry`.
+:func:`locate` and :func:`delaunay_cavity` walk one triangle at a time.
+:func:`retriangulate` works per cavity in bulk, following the paper's
+§7 lesson: the boundary is extracted as arrays, the whole fan is
+written by one array :meth:`~.mesh.TriMesh.write_triangle` call (which
+also prices the new triangles' quality flags) and linked by two array
+:meth:`~.mesh.TriMesh.link` calls.
+
+All structural decisions go through exact-sign predicates in
+:mod:`.geometry` (:func:`~.geometry.orient2d_exact_many` is the
+row-wise form of :func:`~.geometry.orient2d`).
 """
 
 from __future__ import annotations
@@ -106,14 +114,19 @@ def cavity_boundary(mesh: TriMesh, cavity: list[int]) -> list[tuple[int, int, in
     ``(t, k)`` is a cavity triangle's edge whose neighbor ``u`` is
     outside the cavity (``u = -1``, ``j = -1`` on the mesh boundary).
     """
-    in_cavity = set(cavity)
-    out = []
-    for t in cavity:
-        for k in range(3):
-            u = int(mesh.nbr[t, k])
-            if u not in in_cavity:
-                out.append((t, k, u, int(mesh.nbr_edge[t, k])))
-    return out
+    return list(zip(*(v.tolist() for v in _boundary(mesh, cavity))))
+
+
+def _boundary(mesh: TriMesh, cavity) -> tuple[np.ndarray, ...]:
+    """:func:`cavity_boundary` as four arrays ``t, k, u, j``, in cavity
+    order then edge order.  Membership is a sorted-array lookup."""
+    cav = np.asarray(cavity, dtype=np.int64)
+    nb = mesh.nbr[cav]
+    inside = np.sort(cav)
+    at = np.minimum(inside.searchsorted(nb), cav.size - 1)
+    ti, k = (inside[at] != nb).nonzero()
+    t = cav[ti]
+    return t, k, nb[ti, k], mesh.nbr_edge[t, k]
 
 
 @dataclass
@@ -138,54 +151,58 @@ def retriangulate(mesh: TriMesh, cavity: list[int], x: float, y: float,
     hull-midpoint split case) produce no triangle — their two halves
     become new hull edges.
 
+    The whole fan is one bulk write: one array
+    :meth:`~.mesh.TriMesh.write_triangle` call, which also prices the
+    fan's quality flags, and two array :meth:`~.mesh.TriMesh.link`
+    calls.  The star-shape and collinearity checks use exact signs, and
+    every check runs before the mesh changes: on ``NotStarShaped`` or
+    ``CavitySlotsExhausted`` the mesh (points included) is untouched.
+
     Returns the new slots actually used (callers return extras to the
     pool).
     """
-    boundary = cavity_boundary(mesh, cavity)
+    bt, bk, bu, bj = _boundary(mesh, cavity)
+    a = mesh.tri[bt, bk]
+    b = mesh.tri[bt, (bk + 1) % 3]
+    o = geo.orient2d_exact_many(mesh.px[a], mesh.py[a], mesh.px[b],
+                                mesh.py[b], x, y)
+    # New point on a boundary edge (o == 0) is legal only on the mesh
+    # boundary (splitting a hull segment); interior edges whose line
+    # contains p are strictly inside the circumcircles of both adjacent
+    # triangles, so both sides are in the cavity and the edge is not a
+    # boundary edge.
+    fan = o > 0
+    if not fan.all():
+        bad = np.flatnonzero((o < 0) | ((o == 0) & (bu >= 0)))
+        if bad.size:
+            i = int(bad[0])
+            t, k = int(bt[i]), int(bk[i])
+            what = ("new point collinear with interior cavity boundary edge"
+                    if o[i] == 0 else
+                    "cavity not star-shaped around new point")
+            raise NotStarShaped(f"{what} (triangle {t}, edge {k})",
+                                triangle=t, point=(x, y))
+        a, b, bu, bj = a[fan], b[fan], bu[fan], bj[fan]
+    n = a.size
+    if n > slots.size:
+        raise CavitySlotsExhausted(f"need {n} slots, got {slots.size}",
+                                   requested=n, available=int(slots.size))
     p = mesh.add_point(x, y)
-    # Pre-read shared-edge info before any rewrite.
-    fans = []  # (a, b, outside_tri, outside_edge)
-    for (t, k, u, j) in boundary:
-        a, b = mesh.edge_vertices(t, k)
-        o = geo.orient2d(mesh.px[a], mesh.py[a], mesh.px[b], mesh.py[b], x, y)
-        if o == 0:
-            # New point on this edge: legal only on the mesh boundary
-            # (splitting a hull segment); interior edges whose line
-            # contains p are strictly inside the circumcircles of both
-            # adjacent triangles, so both sides are in the cavity and the
-            # edge is not a boundary edge.
-            if u >= 0:
-                raise NotStarShaped(
-                    "new point collinear with interior cavity boundary "
-                    f"edge (triangle {t}, edge {k})",
-                    triangle=t, point=(x, y))
-            continue
-        if o < 0:
-            raise NotStarShaped(
-                "cavity not star-shaped around new point "
-                f"(triangle {t}, edge {k})", triangle=t, point=(x, y))
-        fans.append((a, b, u, j))
-    if len(fans) > slots.size:
-        raise CavitySlotsExhausted(
-            f"need {len(fans)} slots, got {slots.size}",
-            requested=len(fans), available=int(slots.size))
-    mesh.delete(np.asarray(cavity, dtype=np.int64))
-    used = [int(slots[i]) for i in range(len(fans))]
-    # Write fan triangles: vertex order (a, b, p) so edge 0 is (a, b).
-    half_edge: dict[tuple[int, int], tuple[int, int]] = {}
-    for slot, (a, b, u, j) in zip(used, fans):
-        mesh.write_triangle(slot, a, b, p)
-        # write_triangle may not reorder: (a, b, p) is CCW by o > 0 above.
-        mesh.link(slot, 0, u, j)
-        # Edges 1 = (b, p) and 2 = (p, a) pair with adjacent fan triangles.
-        for k, (ua, ub) in ((1, (b, p)), (2, (p, a))):
-            key = (min(ua, ub), max(ua, ub))
-            if key in half_edge:
-                ot, ok = half_edge.pop(key)
-                mesh.link(slot, k, ot, ok)
-            else:
-                half_edge[(min(ua, ub), max(ua, ub))] = (slot, k)
-    # Any unpaired fan edges become hull edges (midpoint-split case);
-    # they already carry nbr = -1 from write_triangle.
-    return CavityInfo(new_slots=used, new_point=p,
-                      old_size=len(cavity), new_size=len(fans))
+    mesh.delete(cavity)
+    used = np.asarray(slots[:n], dtype=np.int64)
+    # Vertex order (a, b, p) makes edge 0 the boundary edge (a, b); the
+    # exact o > 0 above means write_triangle stores it unswapped.
+    mesh.write_triangle(used, a, b, p)
+    mesh.link(used, 0, bu, bj)
+    # Edge 1 = (b, p) of one fan triangle is edge 2 = (p, a) of the one
+    # whose a is this b.  The boundary is star-shaped around p, so each
+    # vertex starts at most one fan edge: sorting on a pairs the edges.
+    # Edges left unpaired (midpoint-split case) stay hull edges, with the
+    # nbr = -1 that write_triangle gave them.
+    order = a.argsort()
+    at = np.minimum(a.searchsorted(b, sorter=order), n - 1)
+    m = order[at]
+    paired = a[m] == b
+    mesh.link(used[paired], 1, used[m[paired]], 2)
+    return CavityInfo(new_slots=used.tolist(), new_point=p,
+                      old_size=len(cavity), new_size=n)

@@ -94,13 +94,10 @@ def flip_edge(mesh: TriMesh, t: int, k: int) -> None:
     au_, au_e = int(mesh.nbr[u, (j + 1) % 3]), int(mesh.nbr_edge[u, (j + 1) % 3])  # (a,d)
     bu_, bu_e = int(mesh.nbr[u, (j + 2) % 3]), int(mesh.nbr_edge[u, (j + 2) % 3])  # (d,b)
 
-    mesh.write_triangle(t, a, d, c)   # edges: (a,d) (d,c) (c,a)
-    mesh.write_triangle(u, d, b, c)   # edges: (d,b) (b,c) (c,d)
-    mesh.link(t, 0, au_, au_e)
-    mesh.link(t, 1, u, 2)
-    mesh.link(t, 2, at_, at_e)
-    mesh.link(u, 0, bu_, bu_e)
-    mesh.link(u, 1, bt_, bt_e)
+    # t: (a,d) (d,c) (c,a);  u: (d,b) (b,c) (c,d)
+    mesh.write_triangle([t, u], [a, d], [d, b], [c, c])
+    mesh.link([t, t, t, u, u], [0, 1, 2, 0, 1],
+              [au_, u, at_, bu_, bt_], [au_e, 2, at_e, bu_e, bt_e])
 
 
 @dataclass

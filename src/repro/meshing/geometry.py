@@ -9,8 +9,11 @@ the rare near-degenerate case, exact in sign everywhere, fast in bulk.
 
 Vectorized variants (``*_many``) evaluate whole arrays in float64 for
 mesh-wide passes where an occasional borderline misclassification is
-tolerable (quality flags, statistics); structural decisions in the
-triangulator always use the exact-fallback scalar forms.
+tolerable (quality flags, statistics).  Structural decisions in the
+triangulator always use exact signs: the scalar forms, or
+:func:`orient2d_exact_many`, which applies :func:`orient2d`'s float
+filter to a whole array and sends only the rows under the error bound
+down the scalar exact path.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "orient2d", "incircle", "orient2d_many", "incircle_many",
-    "circumcenter", "circumcenter_many", "circumradius_many",
-    "min_angle_many", "triangle_angles", "is_bad_many", "segment_midpoint",
+    "orient2d", "incircle", "orient2d_many", "orient2d_exact_many",
+    "incircle_many", "circumcenter", "circumcenter_many",
+    "circumradius_many", "min_angle_many", "corner_angles",
+    "triangle_angles", "is_bad_many", "segment_midpoint",
     "point_in_triangle",
 ]
 
@@ -97,6 +101,27 @@ def orient2d_many(ax, ay, bx, by, cx, cy) -> np.ndarray:
     return (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
 
 
+def orient2d_exact_many(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """Row-wise :func:`orient2d`: at least one argument is a 1-d array,
+    the others broadcast against it.
+
+    The same float filter gives the same signs: rows whose determinant
+    clears the error bound keep the float value (computed with the
+    scalar form's IEEE operations), and only the rows under the bound
+    go through the scalar exact fallback.
+    """
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    detsum = np.abs(detleft) + np.abs(detright)
+    sure = (detsum >= _UNDERFLOW) & (np.abs(det) >= _O2D_BOUND * detsum)
+    if not sure.all():
+        rows = np.broadcast_arrays(ax, ay, bx, by, cx, cy)
+        for i in np.flatnonzero(~sure).tolist():
+            det[i] = orient2d(*(float(v[i]) for v in rows))
+    return det
+
+
 def incircle_many(ax, ay, bx, by, cx, cy, px, py) -> np.ndarray:
     adx, ady = ax - px, ay - py
     bdx, bdy = bx - px, by - py
@@ -137,18 +162,36 @@ def circumradius_many(ax, ay, bx, by, cx, cy) -> np.ndarray:
     return np.hypot(ux - ax, uy - ay)
 
 
+#: Corner indices (a, b, c, a, b): slices ``[1:4]`` and ``[2:5]`` give the
+#: next and the previous corner of each corner.
+_ROLL = np.array([0, 1, 2, 0, 1])
+
+
+def corner_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Interior angles (radians) of triangles given by corner arrays.
+
+    ``x``/``y`` have shape ``(..., 3)``, corners ``(a, b, c)`` in the
+    last axis; the result has the same shape, angle ``i`` at corner
+    ``i``.  All three corners go through each operation at once; the
+    values are those of the textbook per-angle law of cosines.
+    """
+    x5, y5 = x[..., _ROLL], y[..., _ROLL]
+    # Squared length of the side opposite each corner, in _ROLL order.
+    s2 = ((x5[..., 1:4] - x5[..., 2:5]) ** 2
+          + (y5[..., 1:4] - y5[..., 2:5]) ** 2)[..., _ROLL]
+    s = np.sqrt(s2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = ((s2[..., 1:4] + s2[..., 2:5] - s2[..., :3])
+               / (2 * s[..., 1:4] * s[..., 2:5]))
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
+    return np.arccos(cos, out=cos)
+
+
 def triangle_angles(ax, ay, bx, by, cx, cy) -> np.ndarray:
     """All three interior angles (radians); shape ``(..., 3)``."""
-    ax, ay, bx, by, cx, cy = map(np.asarray, (ax, ay, bx, by, cx, cy))
-    la2 = (bx - cx) ** 2 + (by - cy) ** 2   # opposite A
-    lb2 = (ax - cx) ** 2 + (ay - cy) ** 2   # opposite B
-    lc2 = (ax - bx) ** 2 + (ay - by) ** 2   # opposite C
-    la, lb, lc = np.sqrt(la2), np.sqrt(lb2), np.sqrt(lc2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ca = np.clip((lb2 + lc2 - la2) / (2 * lb * lc), -1.0, 1.0)
-        cb = np.clip((la2 + lc2 - lb2) / (2 * la * lc), -1.0, 1.0)
-        cc = np.clip((la2 + lb2 - lc2) / (2 * la * lb), -1.0, 1.0)
-    return np.stack([np.arccos(ca), np.arccos(cb), np.arccos(cc)], axis=-1)
+    return corner_angles(np.stack(np.broadcast_arrays(ax, bx, cx), axis=-1),
+                         np.stack(np.broadcast_arrays(ay, by, cy), axis=-1))
 
 
 def min_angle_many(ax, ay, bx, by, cx, cy) -> np.ndarray:

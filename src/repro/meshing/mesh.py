@@ -128,8 +128,13 @@ class TriMesh:
     def edge_vertices(self, t: int, k: int) -> tuple[int, int]:
         return int(self.tri[t, k]), int(self.tri[t, (k + 1) % 3])
 
+    def _corners(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        """Corner coordinates ``(x, y)``, each ``(..., 3)``, of the slots."""
+        tri = self.tri[slots]
+        return self.px[tri], self.py[tri]
+
     def min_angles(self, slots) -> np.ndarray:
-        return geo.min_angle_many(*self.coords(slots))
+        return geo.corner_angles(*self._corners(slots)).min(axis=-1)
 
     # ------------------------------------------------------------------ #
     # Mutation                                                           #
@@ -163,42 +168,78 @@ class TriMesh:
         self.n_pts += 1
         return self.n_pts - 1
 
-    def write_triangle(self, slot: int, v0: int, v1: int, v2: int) -> None:
-        """Occupy a slot with a CCW triangle; neighbors set separately."""
-        o = geo.orient2d(self.px[v0], self.py[v0], self.px[v1], self.py[v1],
-                         self.px[v2], self.py[v2])
-        if o < 0:
-            v1, v2 = v2, v1
-        elif o == 0:
-            raise ValueError(f"degenerate triangle ({v0}, {v1}, {v2})")
-        self.tri[slot] = (v0, v1, v2)
+    def write_triangle(self, slot, v0, v1, v2) -> None:
+        """Occupy slots with CCW triangles; neighbors are set separately.
+
+        ``slot`` and the vertices are scalars or 1-d arrays, one row per
+        triangle (a scalar vertex is shared by every row); the scalar
+        call is the one-row case.  Orientation
+        takes :func:`~.geometry.orient2d`'s exact sign row by row
+        (:func:`~.geometry.orient2d_exact_many`), clockwise rows are
+        stored with ``v1``/``v2`` swapped, and a degenerate row anywhere
+        raises ``ValueError`` before anything is written.  The rows'
+        quality flags are priced here, in one vectorized pass over the
+        batch (the same pricing as :meth:`recompute_quality`), so
+        callers never refresh them afterwards: a recycled slot cannot
+        keep the flag of the triangle it held before.
+        """
+        slot = np.array(slot, dtype=np.int64, ndmin=1, copy=None)
+        tri = np.empty((slot.size, 3), dtype=np.int64)
+        tri[:, 0], tri[:, 1], tri[:, 2] = v0, v1, v2
+        x, y = self.px[tri], self.py[tri]
+        o = geo.orient2d_exact_many(x[:, 0], y[:, 0], x[:, 1], y[:, 1],
+                                    x[:, 2], y[:, 2])
+        if not (o > 0).all():
+            if not o.all():
+                va, vb, vc = tri[np.flatnonzero(o == 0)[0]].tolist()
+                raise ValueError(f"degenerate triangle ({va}, {vb}, {vc})")
+            cw = o < 0
+            tri[cw] = tri[cw][:, [0, 2, 1]]
+            x, y = self.px[tri], self.py[tri]
+        self.tri[slot] = tri
         self.nbr[slot] = -1
         self.nbr_edge[slot] = -1
         self.isdel[slot] = False
-        self.n_tris = max(self.n_tris, slot + 1)
-        ang = geo.min_angle_many(self.px[v0], self.py[v0], self.px[v1],
-                                 self.py[v1], self.px[v2], self.py[v2])
-        self.isbad[slot] = bool(ang < np.deg2rad(self.min_angle_deg))
+        if slot.size:
+            self.n_tris = max(self.n_tris, int(slot.max()) + 1)
+        self.isbad[slot] = self._is_bad(x, y)
 
-    def link(self, t: int, k: int, u: int, j: int) -> None:
-        """Set mutual adjacency: edge k of t <-> edge j of u."""
+    def link(self, t, k, u, j) -> None:
+        """Set mutual adjacency: edge k of t <-> edge j of u.
+
+        Scalars or broadcastable arrays, one row per link; the reverse
+        link is written only for rows with ``u >= 0`` (``u = -1`` marks
+        the mesh boundary).
+        """
+        u = np.asarray(u)
         self.nbr[t, k] = u
         self.nbr_edge[t, k] = j
-        if u >= 0:
-            self.nbr[u, j] = t
-            self.nbr_edge[u, j] = k
+        inner = u >= 0
+        if not inner.all():
+            shape = np.broadcast(t, k, u, j).shape
+            inner = np.broadcast_to(inner, shape)
+            t, k, u, j = (np.broadcast_to(a, shape)[inner]
+                          for a in (t, k, u, j))
+        self.nbr[u, j] = t
+        self.nbr_edge[u, j] = k
 
     def delete(self, slots) -> None:
         self.isdel[np.asarray(slots, dtype=np.int64)] = True
 
     def recompute_quality(self, slots: np.ndarray | None = None) -> None:
+        """Re-price ``isbad`` (smallest angle below ``min_angle_deg``) for
+        the slots, all live slots by default, in one array pass."""
         if slots is None:
             slots = self.live_slots()
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size == 0:
             return
-        bad = geo.is_bad_many(*self.coords(slots), self.min_angle_deg)
-        self.isbad[slots] = bad
+        self.isbad[slots] = self._is_bad(*self._corners(slots))
+
+    def _is_bad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Quality flag of triangles given by corner arrays."""
+        return (geo.corner_angles(x, y).min(axis=-1)
+                < np.deg2rad(self.min_angle_deg))
 
     # ------------------------------------------------------------------ #
     # Integrity                                                          #

@@ -45,6 +45,27 @@ class TestOrient2d:
         s = geo.orient2d(ax, ay, bx, by, cx, cy)
         assert np.sign(s) == exact_orient(ax, ay, bx, by, cx, cy)
 
+    @given(st.lists(st.tuples(coords, coords, coords, coords, coords,
+                              coords), min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_exact_many_rows_match_scalar(self, rows):
+        # Include the near-collinear case so the exact fallback runs.
+        rows = rows + [(0.5, 0.5, 12.0, 12.0, 24.0, 24.000000000000004),
+                       (0.1, 0.1, 0.2, 0.2, 0.3, 0.3)]
+        cols = [np.array(c) for c in zip(*rows)]
+        many = geo.orient2d_exact_many(*cols)
+        assert many.shape == (len(rows),)
+        for r, s in zip(rows, many.tolist()):
+            assert np.sign(s) == np.sign(geo.orient2d(*r)) \
+                == exact_orient(*r)
+
+    def test_exact_many_broadcasts_scalar_point(self):
+        s = geo.orient2d_exact_many(np.array([0.0, 0.0, 0.1]),
+                                    np.array([0.0, 0.0, 0.1]),
+                                    np.array([1.0, 0.0, 0.2]),
+                                    np.array([0.0, 1.0, 0.2]), 0.3, 0.3)
+        assert np.sign(s).tolist() == [1.0, -1.0, 0.0]
+
     @given(coords, coords, coords, coords, coords, coords)
     @settings(max_examples=100)
     def test_antisymmetry(self, ax, ay, bx, by, cx, cy):
@@ -119,6 +140,28 @@ class TestAngles:
         pts = rng.random((50, 6))
         ang = geo.triangle_angles(*[pts[:, i] for i in range(6)])
         assert np.allclose(ang.sum(axis=-1), np.pi)
+
+    def test_corner_form_is_bit_identical_to_per_angle_law(self, rng):
+        # Quality flags feed refinement decisions, so the batched form
+        # must reproduce the per-angle law of cosines bit for bit.
+        pts = rng.random((2000, 6))
+        pts[:50, 4:] = pts[:50, :2]                       # c == a
+        pts[50:100, 2:4] = (pts[50:100, :2] + pts[50:100, 4:]) / 2
+        ax, ay, bx, by, cx, cy = (pts[:, i] for i in range(6))
+        la2 = (bx - cx) ** 2 + (by - cy) ** 2
+        lb2 = (ax - cx) ** 2 + (ay - cy) ** 2
+        lc2 = (ax - bx) ** 2 + (ay - by) ** 2
+        la, lb, lc = np.sqrt(la2), np.sqrt(lb2), np.sqrt(lc2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ref = np.stack([
+                np.arccos(np.clip((lb2 + lc2 - la2) / (2 * lb * lc), -1, 1)),
+                np.arccos(np.clip((la2 + lc2 - lb2) / (2 * la * lc), -1, 1)),
+                np.arccos(np.clip((la2 + lb2 - lc2) / (2 * la * lb), -1, 1)),
+            ], axis=-1)
+        got = geo.triangle_angles(ax, ay, bx, by, cx, cy)
+        corner = geo.corner_angles(pts[:, 0::2], pts[:, 1::2])
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(corner, ref)
 
     def test_min_angle(self):
         m = geo.min_angle_many(0, 0, 1, 0, 0, 1)

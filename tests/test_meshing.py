@@ -4,11 +4,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import CavitySlotsExhausted, NotStarShaped
 from repro.meshing import (TriMesh, build_delaunay, cavity_boundary,
                            delaunay_cavity, locate, random_mesh,
                            retriangulate)
+from repro.meshing.edgeflip import legalize_gpu, random_legal_flips
+from repro.meshing.geometry import is_bad_many, orient2d
+from repro.meshing.gpu_insert import gpu_insert_points
 from repro.meshing.io import load_mesh, save_mesh
 from repro.meshing.triangulation import morton_order
+
+
+def mesh_state(m):
+    """Every array and counter a mutation may touch (full capacity)."""
+    return {"n_pts": m.n_pts, "n_tris": m.n_tris, "px": m.px.copy(),
+            "py": m.py.copy(), "tri": m.tri.copy(), "nbr": m.nbr.copy(),
+            "nbr_edge": m.nbr_edge.copy(), "isdel": m.isdel.copy(),
+            "isbad": m.isbad.copy()}
+
+
+def assert_state_unchanged(m, before):
+    after = mesh_state(m)
+    for name, value in before.items():
+        np.testing.assert_array_equal(after[name], value, err_msg=name)
+
+
+def assert_quality_fresh(m):
+    """Stored quality flags equal a from-scratch pricing of every live slot."""
+    live = m.live_slots()
+    np.testing.assert_array_equal(
+        m.isbad[live], is_bad_many(*m.coords(live), m.min_angle_deg))
+    m.validate()
 
 
 def square_two_tris():
@@ -75,6 +101,46 @@ class TestTriMesh:
         m.ensure_tri_capacity(4)
         with pytest.raises(ValueError):
             m.write_triangle(2, 4, 5, 6)
+
+    def test_write_triangle_rows_reorders_clockwise_row(self):
+        m = square_two_tris()
+        m.ensure_tri_capacity(5)
+        # (0, 1, 2) and (0, 2, 3) are CCW; (0, 3, 1) is clockwise.
+        m.write_triangle([2, 3, 4], [0, 0, 0], [1, 2, 3], [2, 3, 1])
+        assert m.tri[2].tolist() == [0, 1, 2]
+        assert m.tri[3].tolist() == [0, 2, 3]
+        assert m.tri[4].tolist() == [0, 1, 3]
+        assert m.n_tris == 5
+        assert not m.isdel[2:5].any()
+        assert (m.nbr[2:5] == -1).all() and (m.nbr_edge[2:5] == -1).all()
+        for t in (2, 3, 4):
+            assert orient2d(*(c for v in m.tri[t]
+                              for c in (m.px[v], m.py[v]))) > 0
+
+    def test_write_triangle_degenerate_row_writes_nothing(self):
+        m = square_two_tris()
+        m.add_point(0.5, 0.5)              # on the diagonal 0-2
+        m.ensure_tri_capacity(6)
+        m.isbad[2:6] = True                # stale flags must survive too
+        before = mesh_state(m)
+        with pytest.raises(ValueError, match="degenerate"):
+            m.write_triangle([2, 3, 4], [0, 0, 0], [1, 4, 3], [2, 2, 2])
+        assert_state_unchanged(m, before)
+
+    def test_write_triangle_prices_every_row(self):
+        m = square_two_tris()
+        m.add_point(0.5, 0.02)             # skinny with 0 and 1
+        m.ensure_tri_capacity(4)
+        m.isbad[2:4] = [False, True]       # both stale on purpose
+        m.write_triangle([2, 3], [0, 0], [1, 1], [4, 2])
+        assert m.isbad[2:4].tolist() == [True, False]
+
+    def test_link_rows_write_reverse_only_inside(self):
+        m = square_two_tris()
+        m.link([0, 1], [0, 2], [-1, 0], [-1, 1])
+        assert m.nbr[0, 0] == -1 and m.nbr_edge[0, 0] == -1
+        assert m.nbr[1, 2] == 0 and m.nbr_edge[1, 2] == 1
+        assert m.nbr[0, 1] == 1 and m.nbr_edge[0, 1] == 2
 
     def test_boundary_edges_of_square(self):
         m = square_two_tris()
@@ -223,8 +289,70 @@ class TestCavityOps:
         vs = m.tri[t]
         cx, cy = float(m.px[vs].mean()), float(m.py[vs].mean())
         cav = delaunay_cavity(m, t, cx, cy)
-        with pytest.raises(ValueError):
+        before = mesh_state(m)
+        with pytest.raises(CavitySlotsExhausted):
             retriangulate(m, cav, cx, cy, np.array([m.n_tris]))
+        # All checks run before the point is added or the cavity deleted.
+        assert_state_unchanged(m, before)
+
+    def test_retriangulate_not_star_shaped_leaves_mesh_unchanged(
+            self, small_mesh):
+        m = small_mesh.copy()
+        t = int(m.live_slots()[7])
+        vs = m.tri[t]
+        # Beyond vertex a on the centroid->a ray: both edges at a see the
+        # point on their outer side.
+        gx, gy = m.px[vs].mean(), m.py[vs].mean()
+        ax, ay = m.px[vs[0]], m.py[vs[0]]
+        x, y = float(ax + 0.5 * (ax - gx)), float(ay + 0.5 * (ay - gy))
+        start = m.n_tris
+        m.ensure_tri_capacity(start + 8)
+        before = mesh_state(m)
+        with pytest.raises(NotStarShaped):
+            retriangulate(m, [t], x, y, np.arange(start, start + 8))
+        assert_state_unchanged(m, before)
+
+
+class TestQualityFlagsNeverStale:
+    """Recycled slots must never keep the quality flag of their previous
+    triangle: every writer prices what it writes."""
+
+    @given(st.lists(st.sampled_from(("retriangulate", "flip", "insert")),
+                    min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_isbad_matches_geometry_after_random_ops(self, small_mesh, ops,
+                                                     seed):
+        m = small_mesh.copy()
+        rng = np.random.default_rng(seed)
+        free: list[int] = []      # recycled cavity slots first, then tail
+        for op in ops:
+            if op == "retriangulate":
+                live = m.live_slots()
+                t = int(live[rng.integers(live.size)])
+                w = rng.uniform(0.1, 1.0, 3)
+                w /= w.sum()
+                vs = m.tri[t]
+                x, y = float(w @ m.px[vs]), float(w @ m.py[vs])
+                cav = delaunay_cavity(m, t, x, y)
+                need = len(cav) + 4
+                while len(free) < need:
+                    m.ensure_tri_capacity(m.n_tris + 1)
+                    free.append(m.n_tris)
+                    m.n_tris += 1
+                info = retriangulate(m, cav, x, y,
+                                     np.asarray(free[:need], dtype=np.int64))
+                used = set(info.new_slots)
+                free = cav + [s for s in free if s not in used]
+            elif op == "flip":
+                random_legal_flips(m, 3, seed=int(rng.integers(1 << 30)))
+                assert_quality_fresh(m)
+                legalize_gpu(m, seed=int(rng.integers(1 << 30)))
+            else:
+                gpu_insert_points(m, rng.uniform(0.3, 0.7, 3),
+                                  rng.uniform(0.3, 0.7, 3),
+                                  seed=int(rng.integers(1 << 30)))
+            assert_quality_fresh(m)
 
 
 class TestMeshIO:
