@@ -30,7 +30,7 @@ import numpy as np
 
 from .formula import CNF
 
-__all__ = ["FactorGraph", "group_products", "exclude_one"]
+__all__ = ["FactorGraph", "group_products", "row_products", "exclude_one"]
 
 _ZERO = 1e-300
 
@@ -43,23 +43,50 @@ def group_products(values: np.ndarray, zero_mask: np.ndarray,
     reduceat boundaries.  The zero-count trick makes exclude-one
     products exact even when some factors are 0 (surveys of exactly 1).
     """
-    nz = np.where(zero_mask, 1.0, values)
-    prod = np.multiply.reduceat(nz, seg_starts) if values.size else \
-        np.empty(0)
-    zc = np.add.reduceat(zero_mask.astype(np.int64), seg_starts) \
-        if values.size else np.empty(0, dtype=np.int64)
-    return prod, zc
+    if not values.size:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    if zero_mask.any():
+        values = np.where(zero_mask, 1.0, values)
+        zc = np.add.reduceat(zero_mask, seg_starts, dtype=np.int64)
+    else:
+        zc = np.zeros(len(seg_starts), dtype=np.int64)
+    return np.multiply.reduceat(values, seg_starts), zc
+
+
+def row_products(rows: np.ndarray) -> np.ndarray:
+    """``rows.prod(axis=1)`` bit for bit, as K column passes.
+
+    NumPy's multiply-reduce runs left to right, so the explicit loop
+    matches it exactly; it avoids the per-row inner loop of a reduction
+    over a short axis.
+    """
+    out = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        out *= rows[:, j]
+    return out
 
 
 def exclude_one(prod_nz: np.ndarray, zero_count: np.ndarray,
                 value: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
-    """Product of a group excluding one member, from group aggregates."""
-    safe = np.where(is_zero, 1.0, value)
-    return np.where(
-        is_zero,
-        np.where(zero_count == 1, prod_nz, 0.0),
-        np.where(zero_count == 0, prod_nz / safe, 0.0),
-    )
+    """Product of a group excluding one member, from group aggregates.
+
+    ``value`` and ``is_zero`` are the members; the aggregates broadcast
+    against them (a ``(m, 1)`` row aggregate against ``(m, K)`` members,
+    or a scalar zero count).  Members not flagged "zero" must be finite
+    and positive, as surveys and ratios above ``_ZERO`` are.  Then one
+    division of the kept product (0 in a group that holds a zero) gives
+    each of them its result, and only the "zero" members are fixed up.
+    """
+    kept = np.where(zero_count == 0, prod_nz, 0.0) \
+        if np.any(zero_count) else prod_nz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(kept, value)
+    hit = np.unravel_index(np.flatnonzero(is_zero), is_zero.shape)
+    if hit[0].size:
+        only = np.broadcast_to(zero_count, out.shape)[hit] == 1
+        out[hit] = np.where(only, np.broadcast_to(prod_nz, out.shape)[hit],
+                            0.0)
+    return out
 
 
 @dataclass
@@ -96,11 +123,11 @@ class FactorGraph:
         # segment start for every gid (empty groups handled via searchsorted)
         self.seg_starts = np.searchsorted(sorted_gid, np.arange(2 * self.n))
         # reduceat needs starts < len; record empties to patch afterwards.
-        self._group_empty = np.concatenate(
+        self._reduce_starts = np.minimum(self.seg_starts, max(ne - 1, 0))
+        empty = np.concatenate(
             [self.seg_starts[1:] == self.seg_starts[:-1],
              [self.seg_starts[-1] >= ne]]) if ne else np.ones(2 * self.n, bool)
-        self._order_pos = np.empty(ne, dtype=np.int64)
-        self._order_pos[self.vs_order] = np.arange(ne)
+        self._empty_groups = np.flatnonzero(empty)
 
     # ------------------------------------------------------------------ #
     @property
@@ -125,12 +152,11 @@ class FactorGraph:
         ne = self.evar.size
         if ne == 0:
             return np.ones(2 * self.n), np.zeros(2 * self.n, dtype=np.int64)
-        sv = edge_values[self.vs_order]
-        sz = edge_zero[self.vs_order]
-        starts = np.minimum(self.seg_starts, ne - 1)
-        prod, zc = group_products(sv, sz, starts)
-        prod = np.where(self._group_empty, 1.0, prod)
-        zc = np.where(self._group_empty, 0, zc)
+        prod, zc = group_products(edge_values[self.vs_order],
+                                  edge_zero[self.vs_order],
+                                  self._reduce_starts)
+        prod[self._empty_groups] = 1.0
+        zc[self._empty_groups] = 0
         return prod, zc
 
     # ------------------------------------------------------------------ #

@@ -19,10 +19,13 @@ where ``S`` are clauses where ``j`` appears with the same sign as in
 ``a`` and ``O`` the opposite sign.  All products are evaluated with
 group aggregates + the zero-count trick (exact exclude-one even with
 surveys of exactly 1) — this is the paper's *edge caching*: per-edge
-work is O(1) after two aggregate passes.  The multicore baseline lacks
-that cache (Section 8.2), re-walking each variable's and clause's
-neighbor lists per edge; :func:`survey_iteration` models that by
-counting degree-proportional word traffic in uncached mode.
+work is O(1) after two aggregate passes, the per-(variable, sign) group
+products and the per-clause row products.  Each edge then costs one
+division per side; only "zero" members take the exact fix-up.  The
+multicore baseline lacks that cache (Section 8.2), re-walking each
+variable's and clause's neighbor lists per edge; :func:`survey_iteration`
+models that by counting degree-proportional word traffic in uncached
+mode.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..core.counters import OpCounter
 from ..resilience.policy import launch_ok, maybe_activate_resilience
 from ..vgpu.instrument import (current_tracer, maybe_activate,
                                maybe_activate_tracer, trace_span)
-from .factorgraph import FactorGraph, exclude_one, _ZERO
+from .factorgraph import FactorGraph, exclude_one, row_products, _ZERO
 from .formula import CNF
 from .walksat import walksat
 
@@ -86,39 +89,42 @@ def survey_iteration(fg: FactorGraph, *, counter: OpCounter | None = None,
                      kernel: str = "sp.update") -> float:
     """One Jacobi sweep of the survey update; returns max |change|."""
     ne = fg.evar.size
-    t = np.where(fg.live_edge, 1.0 - fg.eta, 1.0)
-    tz = fg.live_edge & (t <= _ZERO)
+    dead = ~fg.live_edge
+    t = np.subtract(1.0, fg.eta)
+    t[dead] = 1.0                  # dead edges are neutral, never "zero"
+    tz = t <= _ZERO
     prod, zc = fg.group_aggregate(t, tz)
 
+    # Variable side: exclude-one over the edge's own (var, sign) group,
+    # full product over the opposite one (gathered once, per group).
     gid = fg.gid
-    opp = gid ^ 1
-    p_same_excl = exclude_one(prod[gid], zc[gid], t, tz)
-    p_same_excl = np.where(fg.live_edge, p_same_excl,
-                           np.where(zc[gid] == 0, prod[gid], 0.0))
-    p_opp = np.where(zc[opp] == 0, prod[opp], 0.0)
+    p_same = exclude_one(prod[gid], zc[gid] if tz.any() else 0, t, tz)
+    prod[zc != 0] = 0.0
+    p_opp = prod.reshape(-1, 2)[:, ::-1].ravel()[gid]
 
-    pi_u = (1.0 - p_opp) * p_same_excl
-    pi_s = (1.0 - p_same_excl) * p_opp
-    pi_0 = p_same_excl * p_opp
-    denom = pi_u + pi_s + pi_0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(denom > 0, pi_u / denom, 0.0)
-    ratio = np.where(fg.live_edge, ratio, 1.0)  # dead edges are neutral
+    pi_u = np.subtract(1.0, p_opp)
+    pi_u *= p_same
+    pi_0 = p_same * p_opp
+    denom = np.subtract(1.0, p_same, out=p_same)
+    denom *= p_opp                 # pi_s
+    np.add(pi_u, denom, out=denom)
+    denom += pi_0                  # (pi_u + pi_s) + pi_0
+    ratio = np.divide(pi_u, denom, out=np.zeros(ne), where=denom > 0)
+    ratio[dead] = 1.0
 
     # Clause-side exclude-one product over the dense (m, K) rows.
     rr = ratio.reshape(fg.m, fg.k)
     rz = rr <= _ZERO
-    rnz = np.where(rz, 1.0, rr)
-    row_prod = rnz.prod(axis=1)
-    row_zc = rz.sum(axis=1)
-    eta_new = exclude_one(np.repeat(row_prod, fg.k),
-                          np.repeat(row_zc, fg.k), ratio, rz.ravel())
-    eta_new = np.where(fg.live_edge, eta_new, 0.0)
+    row_prod = row_products(np.where(rz, 1.0, rr))
+    row_zc = np.bincount(np.flatnonzero(rz) // fg.k, minlength=fg.m)
+    eta_new = exclude_one(row_prod[:, None], row_zc[:, None], rr, rz).ravel()
 
     if damping > 0.0:
-        eta_new = damping * fg.eta + (1.0 - damping) * eta_new
-        eta_new = np.where(fg.live_edge, eta_new, 0.0)
-    delta = float(np.max(np.abs(eta_new - fg.eta))) if ne else 0.0
+        eta_new *= 1.0 - damping
+        eta_new += damping * fg.eta
+    eta_new[dead] = 0.0
+    diff = np.subtract(eta_new, fg.eta, out=pi_0)
+    delta = float(np.abs(diff, out=diff).max()) if ne else 0.0
     fg.eta = eta_new
 
     if counter is not None:
@@ -160,7 +166,6 @@ def run_sp(fg: FactorGraph, cfg: SPConfig,
 def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
                  counter: OpCounter | None,
                  resil=None) -> tuple[int, int, bool]:
-    rng = np.random.default_rng(cfg.seed)
     phases = iters = 0
     while phases < cfg.max_phases:
         if fg.num_unfixed <= cfg.solver_cutoff or fg.num_live_clauses == 0:
@@ -209,7 +214,6 @@ def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
             tr.on_span_end()
         if rep.contradiction:
             return phases, iters, True
-        _ = rng  # reserved for future randomized decimation policies
     return phases, iters, False
 
 

@@ -40,7 +40,6 @@ import os
 from pathlib import Path
 
 from .errors import DiskFull, TornWrite
-from .serve.faults import FaultInjected, current_disk_injector
 
 __all__ = ["atomic_write_bytes", "atomic_write_json", "fsync_dir",
            "quarantine"]
@@ -82,6 +81,11 @@ def atomic_write_bytes(path: str | Path, data: bytes, *,
     the rename — the historical :mod:`repro.tune` kill site, kept so
     its atomicity property tests keep proving that window empty.
     """
+    # Imported here, not at module level: ``repro.serve`` imports this
+    # module (checkpoints), so a top-level import is a cycle whenever
+    # ``repro.storage`` is imported first (``python -m repro.tune``).
+    from .serve.faults import FaultInjected, current_disk_injector
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")

@@ -1,12 +1,15 @@
 """Smoke tests: every example must run end to end at reduced size."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+SRC = EXAMPLES.parent / "src"
 sys.path.insert(0, str(EXAMPLES))
 
 
@@ -51,3 +54,23 @@ class TestExamplesRun:
         load("pointsto_compiler.py")["main"]()
         out = capsys.readouterr().out
         assert "may_alias" in out
+
+
+#: every ``python -m`` entry point the CI workflow invokes
+ENTRY_POINTS = ["repro.tune", "repro.serve", "repro.scenarios",
+                "repro.sessions", "repro.gateway", "repro.analysis.static",
+                "repro.analysis.lint"]
+
+
+@pytest.mark.parametrize("module", ENTRY_POINTS)
+def test_entry_point_imports_in_a_fresh_interpreter(module):
+    # Import cycles only show when a module is the first one imported,
+    # so each entry point gets its own interpreter.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
