@@ -19,8 +19,7 @@ ThreadSanitizer, with three layers:
   interval) verified against static race (STA201), barrier-divergence
   (STA202), allocator-lifetime (STA203), determinism (STA204) and
   manifest-drift (STA205) rules, plus the folded ``KRN101``–``KRN104``
-  lint rules.  :mod:`.lint` remains as a thin deprecated alias running
-  just the KRN subset.
+  lint rules.
 
 Every algorithm driver takes an opt-in ``sanitizer=`` keyword::
 
@@ -43,16 +42,4 @@ __all__ = [
     "RaceDetector", "Finding", "format_findings",
     "WRITE_WRITE", "READ_WRITE", "OUT_OF_BOUNDS", "USE_AFTER_FREE",
     "DOUBLE_FREE", "BARRIER_DIVERGENCE",
-    "LintFinding", "lint_source", "lint_paths",
 ]
-
-_LINT_NAMES = {"LintFinding", "lint_source", "lint_paths"}
-
-
-def __getattr__(name):
-    # Lazy: keeps ``python -m repro.analysis.lint`` from double-importing
-    # the lint module through the package init.
-    if name in _LINT_NAMES:
-        from . import lint
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """Dynamic race detector for the virtual GPU (``repro.analysis``).
 
-A :class:`RaceDetector` plugs into the :mod:`repro.vgpu.instrument` hook
-point and shadows every access the simulated device issues, in the
+A :class:`RaceDetector` plugs into the :data:`repro.hooks.SANITIZER`
+slot and shadows every access the simulated device issues, in the
 spirit of ``cuda-memcheck --tool racecheck`` / ThreadSanitizer:
 
 * **Phase analysis** — plain (non-atomic) writes recorded by the
@@ -52,7 +52,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..vgpu import instrument
+from ..hooks import SANITIZER
 from ..vgpu.instrument import SanitizerHooks
 from .reports import (BARRIER_DIVERGENCE, DOUBLE_FREE, Finding, OUT_OF_BOUNDS,
                       READ_WRITE, USE_AFTER_FREE, WRITE_WRITE,
@@ -110,19 +110,17 @@ class RaceDetector(SanitizerHooks):
     def clean(self) -> bool:
         return not self.reports and not self.suppressed
 
+    @contextmanager
     def activate(self):
         """Context manager installing this detector as the sanitizer.
 
         Pending accesses of all open scopes are analyzed on exit.
         """
-        @contextmanager
-        def _scope():
-            with instrument.activate(self):
-                try:
-                    yield self
-                finally:
-                    self.flush()
-        return _scope()
+        with SANITIZER.use(self):
+            try:
+                yield self
+            finally:
+                self.flush()
 
     @contextmanager
     def kernel(self, name: str):

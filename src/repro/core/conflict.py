@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..hooks import SANITIZER, TRACER
 from ..vgpu.atomics import scatter_write
-from ..vgpu.instrument import current_sanitizer, current_tracer, suppress_tracer
 from .counters import OpCounter, warp_divergence
 from .ragged import Ragged
 
@@ -101,10 +101,10 @@ def three_phase_mark(
         marks[claims.values] = -1  # lazy reset of touched elements only
     rows = claims.row_ids()
     writes = 0
-    san = current_sanitizer()
+    san = SANITIZER.value
     if san is not None:
         san.on_kernel_begin(name, threads=n_threads, scheme="3phase")
-    tr = current_tracer()
+    tr = TRACER.value
     if tr is not None:
         # The tracer receives one span per marking round with one priced
         # event per protocol phase; the single OpCounter launch below is
@@ -177,7 +177,7 @@ def three_phase_mark(
         san.on_marking(name, claims, winners, scheme="3phase")
         san.on_kernel_end(name)
     if counter is not None:
-        with suppress_tracer():
+        with TRACER.use(None):
             counter.launch(
                 name,
                 items=n_threads,
@@ -218,10 +218,10 @@ def two_phase_mark(
         priorities = np.asarray(priorities, dtype=np.int64)
     marks = np.full(num_elements, -1, dtype=np.int64)
     rows = claims.row_ids()
-    san = current_sanitizer()
+    san = SANITIZER.value
     if san is not None:
         san.on_kernel_begin(name, threads=n_threads, scheme="2phase-unsafe")
-    tr = current_tracer()
+    tr = TRACER.value
     if tr is not None:
         issued_steps, _ = warp_divergence(claims.lengths())
         crit_steps = int(claims.lengths().max()) if claims.total() else 0
@@ -262,7 +262,7 @@ def two_phase_mark(
         san.on_marking(name, claims, winners, scheme="2phase-unsafe")
         san.on_kernel_end(name)
     if counter is not None:
-        with suppress_tracer():
+        with TRACER.use(None):
             counter.launch(name, items=n_threads,
                            aborted=int((~winners).sum()),
                            word_reads=claims.total(),

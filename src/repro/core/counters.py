@@ -18,9 +18,8 @@ The counter records, per named kernel:
 
 Counts are plain integers; the class stays dependency-light so that
 substrates (meshing, graph generators) can use it too — its only
-coupling is a lazy hand-off of each launch to the
-:mod:`repro.vgpu.instrument` tracer registry (a ``None`` check when no
-tracer is active).
+coupling is a hand-off of each launch to the :data:`repro.hooks.TRACER`
+slot (a ``None`` check when no tracer is active).
 """
 
 from __future__ import annotations
@@ -30,20 +29,9 @@ from typing import Dict, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from ..hooks import TRACER
+
 __all__ = ["KernelStats", "OpCounter", "warp_divergence"]
-
-# Lazy cached handle on repro.vgpu.instrument.  Imported at first use,
-# not at module level: vgpu.kernel imports this module, so an eager
-# import here would close a cycle during package init.
-_instrument = None
-
-
-def _hooks():
-    global _instrument
-    if _instrument is None:
-        from ..vgpu import instrument as _mod
-        _instrument = _mod
-    return _instrument
 
 
 def warp_divergence(work_per_thread: np.ndarray, warp_size: int = 32) -> tuple[int, int]:
@@ -185,7 +173,7 @@ class OpCounter:
             ks.issued_lane_steps += items
             ks.useful_lane_steps += items
             ks.critical_lane_steps += 1 if items else 0
-        tracer = _hooks().current_tracer()
+        tracer = TRACER.value
         if tracer is not None:
             critical = (int(np.max(work_per_thread))
                         if work_per_thread is not None

@@ -27,9 +27,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import EngineStalled, MaxRoundsExceeded
+from ..hooks import SANITIZER
 from ..resilience.policy import launch_ok
 from ..resilience.watchdog import StallLadder
-from ..vgpu.instrument import current_sanitizer, trace_gauge, trace_span
+from ..vgpu.instrument import trace_gauge, trace_span
 from .conflict import three_phase_mark
 from .counters import OpCounter
 from .ragged import Ragged
@@ -204,7 +205,7 @@ def run_morph_rounds(
         # One kernel scope per round: the sanitizer attributes the
         # marking audit and the winners' apply-phase stores to it, and
         # the ownership granted by the marking covers the applies.
-        san = current_sanitizer()
+        san = SANITIZER.value
         if san is not None:
             san.on_kernel_begin(kernel, round=stats.rounds)
         with trace_span(kernel, cat="iteration", round=stats.rounds):

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..hooks import TRACER
 from ..vgpu.atomics import fetch_add_serialized
-from ..vgpu.instrument import current_tracer, trace_gauge
+from ..vgpu.instrument import trace_gauge
 from .counters import OpCounter
 
 __all__ = ["CentralWorklist", "LocalWorklists"]
@@ -105,7 +106,7 @@ class LocalWorklists:
         if self._counter is not None:
             self._counter.launch("worklist.local_push", items=items.size,
                                  word_writes=items.size)
-        if current_tracer() is not None:
+        if TRACER.value is not None:
             trace_gauge("worklist.local.total", self.total())
 
     def local(self, thread: int) -> np.ndarray:
@@ -130,7 +131,7 @@ class LocalWorklists:
 
     def rebalance(self) -> None:
         """Host-side between-round redistribution into equal chunks."""
-        if current_tracer() is not None:
+        if TRACER.value is not None:
             trace_gauge("worklist.local.imbalance", self.imbalance())
         items = self.all_items()
         self._lists = [[] for _ in range(self.n_threads)]

@@ -39,14 +39,13 @@ from ..core.counters import OpCounter
 from ..core.layout import bfs_permutation
 from ..core.ragged import Ragged
 from ..errors import CavityError
+from ..hooks import SANITIZER, TRACER, driver_entry
 from ..meshing import geometry as geo
 from ..meshing.mesh import TriMesh
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
-from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_sanitizer, current_tracer,
-                               fault_transfer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
+from ..resilience.policy import launch_ok
+from ..vgpu.instrument import fault_transfer
 from ..vgpu.memory import RecyclePool
 from ..vgpu.sync import BarrierModel, FENCE
 from .plan import RefinePlan, apply_plan
@@ -331,6 +330,7 @@ def _expand_cavities(mesh: TriMesh, px, py, cur, tx, ty,
 # The host refinement loop                                           #
 # ------------------------------------------------------------------ #
 
+@driver_entry("dmr.refine_gpu")
 def refine_gpu(mesh: TriMesh, config: DMRConfig | None = None,
                counter: OpCounter | None = None, *,
                sanitizer=None, tracer=None, resilience=None) -> DMRResult:
@@ -365,11 +365,7 @@ def refine_gpu(mesh: TriMesh, config: DMRConfig | None = None,
     Marking deletion.  Without it, injected faults propagate as typed
     :class:`repro.errors.ReproError`\\ s.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("dmr.refine_gpu", cat="driver"):
-                    return _refine_impl(mesh, config, counter, resilience)
+    return _refine_impl(mesh, config, counter, resilience)
 
 
 def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
@@ -409,7 +405,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
         outer += 1
         ctr.scalars["cfg_blocks"] = launch.blocks
         ctr.scalars["cfg_tpb"] = launch.threads_per_block
-        tr = current_tracer()
+        tr = TRACER.value
         if tr is not None:
             # Explicit begin/end (not a with-block): the span covers the
             # whole do-while iteration below.
@@ -445,7 +441,7 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
 
         kern_round_wins = 0
         kern_attempts = 0
-        san = current_sanitizer()
+        san = SANITIZER.value
         if san is not None:
             # One sanitizer kernel scope per do-while iteration, matching
             # the dispatch granularity the cost model charges.

@@ -37,6 +37,9 @@ The tree::
         └── CavitySlotsExhausted     fan needs more slots than provided
                                      (also a ValueError for compatibility)
 
+    FaultInjected(RuntimeError)      an injected kill or crash (job and
+                                     disk faults); a retryable job failure
+
 Fault *injection* lives in :mod:`repro.vgpu.faults`; degradation
 *policies* that catch these types live in :mod:`repro.resilience`.
 """
@@ -48,7 +51,7 @@ __all__ = [
     "RecyclePoolExhausted", "KernelAborted", "EngineStalled",
     "MaxRoundsExceeded", "ArtifactError", "CorruptCheckpoint",
     "CorruptScenario", "CorruptJournal", "StorageFault", "DiskFull",
-    "TornWrite",
+    "TornWrite", "FaultInjected",
     "AdmissionRejected", "QuotaExceeded", "Overloaded",
     "CavityError", "WalkStuck", "CavityOversized",
     "NotStarShaped", "PointEscaped", "CavitySlotsExhausted",
@@ -211,6 +214,12 @@ class TornWrite(StorageFault):
     torn sector): only the temp file carries torn bytes under the
     fsync-before-rename protocol; a writer that skipped fsync can be
     left with torn bytes at the *published* path."""
+
+
+class FaultInjected(RuntimeError):
+    """Raised by a ``kill`` job fault or a disk fault that models the
+    process dying (:mod:`repro.serve.faults`); treated as a retryable
+    job failure."""
 
 
 # ------------------------------------------------------------------ #

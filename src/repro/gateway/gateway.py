@@ -47,8 +47,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import Overloaded, StorageFault
-from ..serve.faults import DiskFaultPlan, FaultInjected
+from ..errors import FaultInjected, Overloaded, StorageFault
+from ..serve.faults import DiskFaultPlan
 from ..serve.jobs import JobSpec, estimate_cost
 from ..sessions.spec import SessionSpec
 from .admission import AdmissionController, TenantQuota

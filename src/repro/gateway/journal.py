@@ -48,8 +48,8 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import CorruptJournal, DiskFull, TornWrite
-from ..serve.faults import DiskFaultInjector, DiskFaultPlan, FaultInjected
+from ..errors import CorruptJournal, DiskFull, FaultInjected, TornWrite
+from ..serve.faults import DiskFaultInjector, DiskFaultPlan
 
 __all__ = ["JOURNAL_SCHEMA", "Journal", "JournalReplay", "read_journal"]
 

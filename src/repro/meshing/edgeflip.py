@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..core.engine import MorphPlan, run_morph_rounds
-from ..vgpu.instrument import maybe_activate, maybe_activate_tracer, trace_span
+from ..hooks import driver_entry
 from . import geometry as geo
 from .mesh import TriMesh
 
@@ -114,6 +114,7 @@ class FlipResult:
         return self.aborted / total if total else 0.0
 
 
+@driver_entry("meshing.legalize_gpu")
 def legalize_gpu(mesh: TriMesh, *, seed: int = 0,
                  counter: OpCounter | None = None,
                  sanitizer=None, tracer=None) -> FlipResult:
@@ -124,14 +125,6 @@ def legalize_gpu(mesh: TriMesh, *, seed: int = 0,
     activates a :mod:`repro.obs` tracer; the morph engine supplies the
     per-round spans.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
-            with trace_span("meshing.legalize_gpu", cat="driver"):
-                return _legalize_impl(mesh, seed=seed, counter=counter)
-
-
-def _legalize_impl(mesh: TriMesh, *, seed: int,
-                   counter: OpCounter | None) -> FlipResult:
     rng = np.random.default_rng(seed)
     ctr = counter or OpCounter()
 

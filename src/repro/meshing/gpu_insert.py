@@ -29,12 +29,10 @@ from ..core.conflict import three_phase_mark
 from ..core.counters import OpCounter
 from ..core.ragged import Ragged
 from ..errors import CavityError, MaxRoundsExceeded
+from ..hooks import SANITIZER, TRACER, driver_entry
 from ..resilience.addition import grow_array
 from ..resilience.deletion import ResilientRecyclePool
-from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_sanitizer, current_tracer,
-                               maybe_activate, maybe_activate_tracer,
-                               trace_span)
+from ..resilience.policy import launch_ok
 from ..vgpu.memory import RecyclePool
 from .cavity import delaunay_cavity, locate, retriangulate
 from .mesh import TriMesh
@@ -58,6 +56,7 @@ class InsertResult:
         return self.aborted_conflicts / total if total else 0.0
 
 
+@driver_entry("meshing.gpu_insert_points")
 def gpu_insert_points(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
                       seed: int = 0, max_points_per_round: int = 4096,
                       counter: OpCounter | None = None,
@@ -77,12 +76,7 @@ def gpu_insert_points(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
     to Marking deletion on pool exhaustion; without it, injected device
     faults propagate typed.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("meshing.gpu_insert_points", cat="driver"):
-                    return _insert_impl(
-                        mesh, x, y, seed=seed,
+    return _insert_impl(mesh, x, y, seed=seed,
                         max_points_per_round=max_points_per_round,
                         counter=counter, max_rounds=max_rounds,
                         resil=resilience)
@@ -107,7 +101,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
         if not launch_ok(resil, "insertion.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
-        tr = current_tracer()
+        tr = TRACER.value
         if tr is not None:
             tr.on_span_begin("insert.iteration", cat="iteration",
                              round=rounds)
@@ -150,7 +144,7 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
         claims = Ragged.from_lists([p[2] for p in ok])
         # One kernel scope per round so the marking round's ownership
         # grants cover the winners' retriangulation stores.
-        san = current_sanitizer()
+        san = SANITIZER.value
         if san is not None:
             san.on_kernel_begin("insert.round", round=rounds)
         res = three_phase_mark(mesh.tri.shape[0], claims, rng,

@@ -32,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.counters import OpCounter
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..hooks import TRACER, driver_entry
+from ..resilience.policy import launch_ok
 from ..vgpu.atomics import atomic_min
-from ..vgpu.instrument import (current_tracer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
 
 __all__ = ["MSTResult", "boruvka_gpu", "serve_job"]
 
@@ -51,6 +50,7 @@ class MSTResult:
     num_components: int       # 1 for connected inputs (forest otherwise)
 
 
+@driver_entry("mst.boruvka_gpu")
 def boruvka_gpu(num_nodes: int, src: np.ndarray, dst: np.ndarray,
                 weight: np.ndarray, *, counter: OpCounter | None = None,
                 max_rounds: int = 128, barrier=None, sanitizer=None,
@@ -71,14 +71,9 @@ def boruvka_gpu(num_nodes: int, src: np.ndarray, dst: np.ndarray,
     rounds refused by transient injected kernel aborts; without it, the
     fault propagates typed.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("mst.boruvka_gpu", cat="driver"):
-                    return _boruvka_impl(num_nodes, src, dst, weight,
-                                         counter=counter,
-                                         max_rounds=max_rounds,
-                                         barrier=barrier, resil=resilience)
+    return _boruvka_impl(num_nodes, src, dst, weight, counter=counter,
+                         max_rounds=max_rounds, barrier=barrier,
+                         resil=resilience)
 
 
 def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,
@@ -103,7 +98,7 @@ def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,
         if not launch_ok(resil, "mst.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
-        tr = current_tracer()
+        tr = TRACER.value
         if tr is not None:
             tr.on_span_begin("mst.iteration", cat="iteration", round=rounds)
         cs = comp[es]

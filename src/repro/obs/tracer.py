@@ -25,9 +25,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from ..hooks import TRACER
 from ..vgpu.costmodel import GPU_ATOMIC_UNITS, GPU_CYCLES_PER_STEP
 from ..vgpu.device import GpuSpec, TESLA_C2070
-from ..vgpu.instrument import TracerHooks, activate_tracer
+from ..vgpu.instrument import TracerHooks
 from ..vgpu.sync import BarrierModel, HIERARCHICAL
 
 __all__ = ["SpanEvent", "Tracer"]
@@ -166,11 +167,9 @@ class Tracer(TracerHooks):
     # ------------------------------------------------------------------ #
     # user-facing conveniences                                           #
     # ------------------------------------------------------------------ #
-    @contextmanager
     def activate(self):
         """Install this tracer for a ``with`` block (manual wiring)."""
-        with activate_tracer(self):
-            yield self
+        return TRACER.use(self)
 
     @contextmanager
     def span(self, name: str, cat: str = "span", **args):

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.counters import OpCounter
+from ..hooks import TRACER, driver_entry
 from ..resilience.addition import FallbackStorage
-from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_tracer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
+from ..resilience.policy import launch_ok
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind
 from .graph import PullGraph
@@ -53,6 +52,7 @@ class PTAResult:
         return int(self.pts.counts().sum())
 
 
+@driver_entry("pta.andersen_pull")
 def andersen_pull(cons: Constraints, *, chunk_size: int = 1024,
                   counter: OpCounter | None = None,
                   rep: np.ndarray | None = None,
@@ -76,14 +76,9 @@ def andersen_pull(cons: Constraints, *, chunk_size: int = 1024,
     re-issues rounds refused by transient injected kernel aborts; the
     fixed point is a set, so a degraded run's result is byte-identical.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("pta.andersen_pull", cat="driver"):
-                    return _andersen_pull_impl(cons, chunk_size=chunk_size,
-                                               counter=counter, rep=rep,
-                                               max_rounds=max_rounds,
-                                               resil=resilience)
+    return _andersen_pull_impl(cons, chunk_size=chunk_size, counter=counter,
+                               rep=rep, max_rounds=max_rounds,
+                               resil=resilience)
 
 
 def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
@@ -121,7 +116,7 @@ def _andersen_pull_impl(cons: Constraints, *, chunk_size: int,
         if not launch_ok(resil, "pta.round"):
             continue    # absorbed transient abort: re-issue the round
         rounds += 1
-        tr = current_tracer()
+        tr = TRACER.value
         if tr is not None:
             tr.on_span_begin("pta.iteration", cat="iteration", round=rounds)
             tr.on_gauge("pta.enabled", int(changed.sum()))

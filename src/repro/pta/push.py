@@ -18,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.counters import OpCounter
+from ..hooks import instrumented
 from ..resilience.addition import FallbackStorage
-from ..resilience.policy import launch_ok, maybe_activate_resilience
+from ..resilience.policy import launch_ok
 from .andersen import PTAResult
 from .bitset import BitMatrix
 from .constraints import Constraints, Kind
@@ -38,7 +39,7 @@ def andersen_push(cons: Constraints, *, chunk_size: int = 1024,
 andersen_pull`: §7.1 fallback-chain edge storage plus round re-issue
     on transient injected kernel aborts.
     """
-    with maybe_activate_resilience(resilience):
+    with instrumented(resilience=resilience):
         return _push_impl(cons, chunk_size, counter, max_rounds, resilience)
 
 

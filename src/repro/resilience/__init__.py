@@ -34,10 +34,9 @@ the result payload).
 
 from .addition import FallbackStorage, GrowthAndRetry, grow_array
 from .deletion import ResilientRecyclePool
-from .policy import (Resilience, ResiliencePolicy, launch_ok,
-                     maybe_activate_resilience)
+from .policy import Resilience, ResiliencePolicy, launch_ok
 from .watchdog import StallLadder
 
 __all__ = ["Resilience", "ResiliencePolicy", "launch_ok",
-           "maybe_activate_resilience", "FallbackStorage", "GrowthAndRetry",
-           "grow_array", "ResilientRecyclePool", "StallLadder"]
+           "FallbackStorage", "GrowthAndRetry", "grow_array",
+           "ResilientRecyclePool", "StallLadder"]

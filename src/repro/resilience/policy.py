@@ -26,16 +26,16 @@ round.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import KernelAborted
+from ..hooks import DEVICE_FAULTS
 from ..vgpu.faults import DeviceFaultPlan
-from ..vgpu.instrument import fault_kernel, maybe_activate_faults, trace_gauge
+from ..vgpu.instrument import fault_kernel, trace_gauge
 
-__all__ = ["ResiliencePolicy", "Resilience", "launch_ok",
-           "maybe_activate_resilience"]
+__all__ = ["ResiliencePolicy", "Resilience", "launch_ok"]
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,16 @@ class Resilience:
     @contextmanager
     def activate(self):
         """Install this run's device-fault injector (if a plan was
-        given) for the ``with`` block; yields ``self``."""
-        with ExitStack() as stack:
-            if self.faults is not None:
-                self.injector = self.faults.injector()
-                stack.enter_context(maybe_activate_faults(self.injector))
+        given) for the ``with`` block; yields ``self``.
+
+        Without a plan the ``DEVICE_FAULTS`` slot is left as it is, so
+        an injector installed outside the run still reaches it.
+        """
+        if self.faults is None:
+            yield self
+            return
+        self.injector = self.faults.injector()
+        with DEVICE_FAULTS.use(self.injector):
             yield self
 
     def summary(self) -> dict:
@@ -134,18 +139,6 @@ class Resilience:
         return {"degraded": self.degraded,
                 "events": [dict(e) for e in self.events],
                 "effective_strategy": dict(self.effective_strategy)}
-
-
-@contextmanager
-def _null_context():
-    yield None
-
-
-def maybe_activate_resilience(resilience: "Resilience | None"):
-    """``resilience.activate()`` or a no-op — the driver entry idiom."""
-    if resilience is None:
-        return _null_context()
-    return resilience.activate()
 
 
 def launch_ok(resilience: Resilience | None, name: str) -> bool:

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.counters import OpCounter
-from ..resilience.policy import launch_ok, maybe_activate_resilience
-from ..vgpu.instrument import (current_tracer, maybe_activate,
-                               maybe_activate_tracer, trace_span)
+from ..hooks import TRACER, driver_entry, instrumented
+from ..resilience.policy import launch_ok
+from ..vgpu.instrument import trace_span
 from .factorgraph import FactorGraph, exclude_one, row_products, _ZERO
 from .formula import CNF
 from .walksat import walksat
@@ -143,6 +143,7 @@ def survey_iteration(fg: FactorGraph, *, counter: OpCounter | None = None,
     return delta
 
 
+@driver_entry("satsp.run_sp")
 def run_sp(fg: FactorGraph, cfg: SPConfig,
            counter: OpCounter | None = None, *,
            sanitizer=None, tracer=None,
@@ -156,11 +157,7 @@ def run_sp(fg: FactorGraph, cfg: SPConfig,
     ``resilience`` (opt-in) re-issues SP phases refused by a transient
     injected kernel abort; without it, the fault propagates typed.
     """
-    with maybe_activate(sanitizer):
-        with maybe_activate_tracer(tracer):
-            with maybe_activate_resilience(resilience):
-                with trace_span("satsp.run_sp", cat="driver"):
-                    return _run_sp_impl(fg, cfg, counter, resilience)
+    return _run_sp_impl(fg, cfg, counter, resilience)
 
 
 def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
@@ -175,7 +172,7 @@ def _run_sp_impl(fg: FactorGraph, cfg: SPConfig,
         if not launch_ok(resil, "sp.phase"):
             continue    # absorbed transient abort: re-issue the phase
         phases += 1
-        tr = current_tracer()
+        tr = TRACER.value
         if tr is not None:
             tr.on_span_begin("sp.phase", cat="iteration", phase=phases)
             tr.on_gauge("sp.unfixed", fg.num_unfixed)
@@ -242,11 +239,11 @@ def solve_sp(cnf: CNF, cfg: SPConfig | None = None,
     flips = cfg.walksat_flips
     if flips is None:
         flips = min(max(50_000, 100 * residual.num_vars), 300_000)
-    with maybe_activate_tracer(tracer):
-        with trace_span("satsp.walksat", cat="driver",
-                        residual_vars=residual.num_vars):
-            ws = walksat(residual, max_flips=flips, seed=cfg.seed,
-                         restarts=2, counter=ctr)
+    with instrumented(tracer=tracer), \
+            trace_span("satsp.walksat", cat="driver",
+                       residual_vars=residual.num_vars):
+        ws = walksat(residual, max_flips=flips, seed=cfg.seed,
+                     restarts=2, counter=ctr)
     if ws is None:
         return SPResult("UNKNOWN", None, ctr, phases, iters, fixed_by_sp, 0)
     assignment = fg.full_assignment(ws, var_map)

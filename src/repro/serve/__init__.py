@@ -11,8 +11,8 @@ points-to analysis, Boruvka MST, and the generic morph engine) as a
   timeouts, bounded exponential-backoff retries, and checkpoint resume;
 * :mod:`.checkpoint` — durable, atomically-written round-state
   checkpoints;
-* :mod:`.faults` — deterministic kill/delay fault injection, using the
-  registry discipline of :mod:`repro.vgpu.instrument`;
+* :mod:`.faults` — deterministic kill/delay and disk fault injection,
+  installed through the :mod:`repro.hooks` slots;
 * :mod:`.scheduler` — FIFO / SJF batch ordering, per-job tracer spans
   and queue gauges, and the :class:`BatchReport` summary.
 
@@ -28,9 +28,7 @@ Run a batch from the shell::
 
 from .checkpoint import CheckpointStore, dumps_state, loads_state
 from .faults import (DISK_KINDS, DiskFaultInjector, DiskFaultPlan,
-                     DiskFaultRule, FaultInjected, FaultInjector, FaultPlan,
-                     activate, activate_disk, current_disk_injector,
-                     current_injector, maybe_activate, maybe_activate_disk)
+                     DiskFaultRule, FaultInjector, FaultPlan)
 from .jobs import (JobContext, JobError, JobResult, JobSpec, digest_arrays,
                    estimate_cost, get_adapter, known_algorithms)
 from .mutations import (OPS_BY_ALGORITHM, GraphMutationEffect,
@@ -42,10 +40,8 @@ from .scheduler import BatchReport, Scheduler, order_jobs
 
 __all__ = [
     "CheckpointStore", "dumps_state", "loads_state",
-    "FaultInjected", "FaultInjector", "FaultPlan", "activate",
-    "current_injector", "maybe_activate",
+    "FaultInjector", "FaultPlan",
     "DISK_KINDS", "DiskFaultInjector", "DiskFaultPlan", "DiskFaultRule",
-    "activate_disk", "current_disk_injector", "maybe_activate_disk",
     "JobContext", "JobError", "JobResult", "JobSpec", "digest_arrays",
     "estimate_cost", "get_adapter", "known_algorithms",
     "OPS_BY_ALGORITHM", "GraphMutationEffect", "check_mutations",

@@ -4,10 +4,10 @@ Production queues are tested by killing and delaying their workers; a
 *reproduction* has the luxury of doing that deterministically.  A
 :class:`FaultPlan` travels inside a :class:`~repro.serve.jobs.JobSpec`
 (it is plain data, JSON- and pickle-able), and the worker materializes
-it into a :class:`FaultInjector` for each attempt.  The injector is
-installed with :func:`activate` for the dynamic extent of the attempt —
-the same registry discipline as :mod:`repro.vgpu.instrument` — and the
-job runner consults :func:`current_injector` at the two hook sites:
+it into a :class:`FaultInjector` for each attempt.  The injector sits
+in the :data:`repro.hooks.JOB_FAULTS` slot (``JOB_FAULTS.use(inj)``)
+for the dynamic extent of the attempt, and the job runner fires it at
+two hook sites:
 
 * **job start** (every algorithm), and
 * **round boundaries** (jobs driven through
@@ -15,11 +15,11 @@ job runner consults :func:`current_injector` at the two hook sites:
   the injection site), which is what lets a kill land *between* two
   checkpoints.
 
-``kind="kill"`` raises :class:`FaultInjected`; ``kind="delay"`` sleeps
-``delay_s`` wall-clock seconds (modeling a job stuck on an external
-resource — a host transfer, a cold cache, an I/O stall) and continues.
-Both fire only on the attempt numbers listed in ``attempts``, so a test
-can kill attempt 1 and let the retry through.
+``kind="kill"`` raises :class:`repro.errors.FaultInjected`;
+``kind="delay"`` sleeps ``delay_s`` wall-clock seconds (modeling a job
+stuck on an external resource — a host transfer, a cold cache, an I/O
+stall) and continues.  Both fire only on the attempt numbers listed in
+``attempts``, so a test can kill attempt 1 and let the retry through.
 
 *Device* fault kinds (any of :data:`repro.vgpu.faults.FAULT_KINDS`:
 ``oom``, ``chunk_exhausted``, ``pool_exhausted``, ``kernel_abort``,
@@ -38,35 +38,28 @@ gateway journal) is one fault site, counted deterministically and
 fired by the same seeded splitmix64 machinery as
 :mod:`repro.vgpu.faults` — so "the disk died under the checkpoint
 spool" is as replayable as "the device OOMed on malloc 3".  A
-:class:`DiskFaultInjector` is installed with :func:`activate_disk`
-(its own registry slot, composing with the job-level injector), either
-directly by a test, by :mod:`repro.serve.pool` when a spec's
-``fault`` envelope carries a disk kind, or by the gateway journal for
-its own appends.
+:class:`DiskFaultInjector` sits in its own slot,
+:data:`repro.hooks.DISK_FAULTS`, so it composes with the job-level
+injector; it is installed directly by a test, by
+:mod:`repro.serve.pool` when a spec's ``fault`` envelope carries a
+disk kind, or by the gateway journal for its own appends.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ..errors import FaultInjected
 from ..vgpu.faults import FAULT_KINDS as DEVICE_KINDS
 from ..vgpu.faults import DeviceFaultPlan, DeviceFaultRule, _hash01
 
-__all__ = ["FaultInjected", "FaultPlan", "FaultInjector",
-           "current_injector", "activate", "maybe_activate",
-           "DISK_KINDS", "DiskFaultRule", "DiskFaultPlan",
-           "DiskFaultInjector", "current_disk_injector", "activate_disk",
-           "maybe_activate_disk"]
+__all__ = ["FaultPlan", "FaultInjector", "DISK_KINDS", "DiskFaultRule",
+           "DiskFaultPlan", "DiskFaultInjector"]
 
 #: disk-fault kinds fired at :mod:`repro.storage` write sites
 DISK_KINDS = ("torn_write", "enospc", "replace_crash", "fsync_lost")
-
-
-class FaultInjected(RuntimeError):
-    """Raised by a ``kill`` fault; treated as a retryable job failure."""
 
 
 @dataclass(frozen=True)
@@ -200,36 +193,6 @@ class FaultInjector:
             self._fire()
 
 
-_current: FaultInjector | None = None
-
-
-def current_injector() -> FaultInjector | None:
-    """The innermost active fault injector, or ``None``."""
-    return _current
-
-
-@contextmanager
-def activate(injector: FaultInjector):
-    """Install ``injector`` for the dynamic extent of the ``with`` block."""
-    global _current
-    prev = _current
-    _current = injector
-    try:
-        yield injector
-    finally:
-        _current = prev
-
-
-@contextmanager
-def maybe_activate(injector: FaultInjector | None):
-    """Like :func:`activate` but a no-op when ``injector`` is ``None``."""
-    if injector is None:
-        yield None
-        return
-    with activate(injector):
-        yield injector
-
-
 # ------------------------------------------------------------------ #
 # Disk faults (fired at repro.storage write sites)                     #
 # ------------------------------------------------------------------ #
@@ -249,7 +212,8 @@ class DiskFaultRule:
           artifact untouched (fsync-before-rename keeps the tear off it);
         * ``replace_crash`` — the process dies between the fsync'd temp
           write and the publishing rename: a complete temp file remains,
-          :class:`FaultInjected` raised, published artifact untouched;
+          :class:`~repro.errors.FaultInjected` raised, published artifact
+          untouched;
         * ``fsync_lost`` — modeled power loss around the publish point.
           A writer that ordered its fsyncs loses only the rename (old
           version intact); a writer that skipped fsync (``fsync=False``)
@@ -369,32 +333,3 @@ class DiskFaultInjector:
                 return rule.kind
         return None
 
-
-_current_disk: DiskFaultInjector | None = None
-
-
-def current_disk_injector() -> DiskFaultInjector | None:
-    """The innermost active disk-fault injector, or ``None``."""
-    return _current_disk
-
-
-@contextmanager
-def activate_disk(injector: DiskFaultInjector):
-    """Install ``injector`` for the dynamic extent of the ``with`` block."""
-    global _current_disk
-    prev = _current_disk
-    _current_disk = injector
-    try:
-        yield injector
-    finally:
-        _current_disk = prev
-
-
-@contextmanager
-def maybe_activate_disk(injector: DiskFaultInjector | None):
-    """Like :func:`activate_disk` but a no-op when ``injector`` is ``None``."""
-    if injector is None:
-        yield None
-        return
-    with activate_disk(injector):
-        yield injector

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..core.engine import EngineCheckpoint, MorphPlan, run_morph_rounds
+from ..hooks import instrumented
 from .faults import FaultPlan
 
 __all__ = ["JobSpec", "JobContext", "JobResult", "JobError",
@@ -228,9 +229,7 @@ def _engine_job(params: Mapping, strategy: Mapping, seed: int,
             raise JobError("engine job got a foreign checkpoint payload")
         work.colors = np.array(resume.payload, dtype=colors.dtype)
 
-    from ..resilience.policy import maybe_activate_resilience
-
-    with maybe_activate_resilience(ctx.resilience):
+    with instrumented(resilience=ctx.resilience):
         stats = run_morph_rounds(
             work.conflicted, work.plan, work.apply, lambda: g.num_nodes,
             rng=rng, counter=ctx.counter,

@@ -36,16 +36,16 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from ..core.counters import OpCounter
 from ..core.engine import EngineCheckpoint
-from ..errors import CorruptCheckpoint
+from ..errors import CorruptCheckpoint, FaultInjected
+from ..hooks import DEVICE_FAULTS, DISK_FAULTS, JOB_FAULTS
 from ..resilience import Resilience
 from .checkpoint import CheckpointStore
-from .faults import (FaultInjected, FaultInjector, maybe_activate,
-                     maybe_activate_disk)
+from .faults import FaultInjector
 from .jobs import (JobContext, JobError, JobResult, JobSpec, digest_arrays,
                    get_adapter)
 
@@ -112,10 +112,10 @@ def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
                  if spec.resilience else None)
         # Without resilience the pool installs the device injector
         # itself, so the typed fault propagates as a retryable failure;
-        # with it, the adapter's maybe_activate_resilience installs it.
-        device_cm = (device_plan.injector().activate()
-                     if device_plan is not None and resil is None
-                     else nullcontext())
+        # with it, the driver's resilience= entry installs it.
+        device_injector = (device_plan.injector()
+                           if device_plan is not None and resil is None
+                           else None)
         # Disk-fault plans target the attempt's durable writes (the
         # checkpoint spool): every atomic_write consults this injector.
         disk_plan = (spec.fault.disk_plan(attempt)
@@ -152,8 +152,12 @@ def _execute_job(spec_dict: dict, checkpoint_dir: str | None,
             resilience=resil,
         )
         try:
-            with maybe_activate(injector), device_cm, \
-                    maybe_activate_disk(disk_injector):
+            with ExitStack() as hooks:
+                for slot, hook in ((JOB_FAULTS, injector),
+                                   (DEVICE_FAULTS, device_injector),
+                                   (DISK_FAULTS, disk_injector)):
+                    if hook is not None:
+                        hooks.enter_context(slot.use(hook))
                 if injector is not None:
                     injector.on_job_start()
                 if deadline is not None and time.monotonic() > deadline:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...hooks import instrumented
 from ...serve.mutations import (apply_graph_mutations,
                                 apply_graph_mutations_tracked,
                                 check_mutations)
@@ -53,14 +54,13 @@ class EnginePlanner:
     def _solve_full(self, counter, resilience) -> None:
         from ...core.engine import run_morph_rounds
         from ...graphgen import undirected_edges_to_csr
-        from ...resilience.policy import maybe_activate_resilience
         from ...serve.jobs import _ServeColoring
 
         g = undirected_edges_to_csr(self.n, self.lo, self.hi, self.w)
         colors = np.random.default_rng(self.seed).integers(0, 2, size=self.n)
         work = _ServeColoring(g, colors)
         rng = np.random.default_rng(self.seed + 1)
-        with maybe_activate_resilience(resilience):
+        with instrumented(resilience=resilience):
             stats = run_morph_rounds(
                 work.conflicted, work.plan, work.apply,
                 lambda: g.num_nodes, rng=rng, counter=counter,

@@ -22,8 +22,8 @@ journal) now share:
   :class:`~repro.errors.ArtifactError`.
 
 Every write is also a **disk-fault site**: if a
-:class:`repro.serve.faults.DiskFaultInjector` is active (via
-:func:`repro.serve.faults.activate_disk`), the write consults it and
+:class:`repro.serve.faults.DiskFaultInjector` is active (in the
+:data:`repro.hooks.DISK_FAULTS` slot), the write consults it and
 acts out the fired kind at the exact protocol step it models —
 ``enospc`` and ``torn_write`` cut the temp write short,
 ``replace_crash`` dies before the rename, ``fsync_lost`` models power
@@ -39,7 +39,8 @@ import json
 import os
 from pathlib import Path
 
-from .errors import DiskFull, TornWrite
+from .errors import DiskFull, FaultInjected, TornWrite
+from .hooks import DISK_FAULTS
 
 __all__ = ["atomic_write_bytes", "atomic_write_json", "fsync_dir",
            "quarantine"]
@@ -81,15 +82,10 @@ def atomic_write_bytes(path: str | Path, data: bytes, *,
     the rename — the historical :mod:`repro.tune` kill site, kept so
     its atomicity property tests keep proving that window empty.
     """
-    # Imported here, not at module level: ``repro.serve`` imports this
-    # module (checkpoints), so a top-level import is a cycle whenever
-    # ``repro.storage`` is imported first (``python -m repro.tune``).
-    from .serve.faults import FaultInjected, current_disk_injector
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    injector = current_disk_injector()
+    injector = DISK_FAULTS.value
     kind = injector.on_write(path) if injector is not None else None
 
     if kind == "enospc":

@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from ..hooks import JOB_FAULTS
 from ..storage import atomic_write_json, quarantine
 from ..vgpu.costmodel import COST_MODEL_VERSION
 
@@ -142,8 +143,7 @@ class TuningCache:
             # Deterministic kill site for the atomicity property tests:
             # a serve.faults injector active here fires after the temp
             # write but before the publish rename.
-            from ..serve.faults import current_injector
-            inj = current_injector()
+            inj = JOB_FAULTS.value
             if inj is not None:
                 inj.on_job_start()
 

@@ -7,8 +7,8 @@ simulated race orders (:mod:`.atomics`), global-barrier cost models
 (:mod:`.memory`), kernel launch bookkeeping and an SPMD generator-thread
 executor (:mod:`.kernel`), the counts-to-seconds cost model
 (:mod:`.costmodel`), and the sanitizer/tracer hook point every primitive
-reports through (:mod:`.instrument`, consumed by :mod:`repro.analysis`
-and :mod:`repro.obs`).
+reports through (:mod:`.instrument`, whose clients sit in the
+:mod:`repro.hooks` slots).
 """
 
 from .device import CpuSpec, GpuSpec, LaunchConfig, TESLA_C2070, XEON_E7540
@@ -18,9 +18,7 @@ from .kernel import KernelLauncher, spmd_launch
 from .costmodel import CostModel, ModeledTimes
 from .streams import (StreamSchedule, StreamSlot, VirtualStream,
                       partition_streams, schedule_streams, stream_time)
-from .instrument import (SanitizerHooks, TracerHooks, activate,
-                         activate_tracer, current_sanitizer, current_tracer,
-                         maybe_activate, maybe_activate_tracer, record_read,
+from .instrument import (SanitizerHooks, TracerHooks, record_read,
                          record_write, trace_gauge, trace_launch, trace_span)
 from . import atomics, instrument
 
@@ -31,8 +29,6 @@ __all__ = [
     "KernelLauncher", "spmd_launch", "CostModel", "ModeledTimes", "atomics",
     "VirtualStream", "StreamSlot", "StreamSchedule", "partition_streams",
     "schedule_streams", "stream_time",
-    "SanitizerHooks", "activate", "current_sanitizer", "maybe_activate",
-    "record_read", "record_write", "instrument",
-    "TracerHooks", "activate_tracer", "current_tracer",
-    "maybe_activate_tracer", "trace_span", "trace_launch", "trace_gauge",
+    "SanitizerHooks", "record_read", "record_write", "instrument",
+    "TracerHooks", "trace_span", "trace_launch", "trace_gauge",
 ]

@@ -6,9 +6,9 @@ survive: allocator OOM, §7.1 chunk-pool exhaustion, transient kernel
 aborts, and slow host transfers.  A :class:`DeviceFaultPlan` is plain,
 seeded data (JSON- and pickle-able, like ``serve.FaultPlan``) and
 materializes into a :class:`DeviceFaultInjector` — a
-:class:`~repro.vgpu.instrument.FaultHooks` client installed with
-:func:`repro.vgpu.instrument.activate_faults`, so it composes with the
-sanitizer and tracer registries.
+:class:`~repro.vgpu.instrument.FaultHooks` client installed in the
+:data:`repro.hooks.DEVICE_FAULTS` slot, so it composes with the
+sanitizer and tracer slots.
 
 Determinism is the whole design: a fault fires as a pure function of
 the plan and the injector's own event counters — *which* malloc, *which*
@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..errors import (ChunkPoolExhausted, KernelAborted, OutOfDeviceMemory,
                       RecyclePoolExhausted)
+from ..hooks import DEVICE_FAULTS
 from . import instrument
 
 __all__ = ["FAULT_KINDS", "DeviceFaultRule", "DeviceFaultPlan",
@@ -254,8 +254,6 @@ class DeviceFaultInjector(instrument.FaultHooks):
 
     # -- convenience ------------------------------------------------ #
 
-    @contextmanager
     def activate(self):
-        """Install this injector via the instrument registry."""
-        with instrument.activate_faults(self):
-            yield self
+        """Install this injector in the ``DEVICE_FAULTS`` slot."""
+        return DEVICE_FAULTS.use(self)

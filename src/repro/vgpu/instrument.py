@@ -1,36 +1,35 @@
-"""Instrumentation hook registry for the virtual GPU.
+"""Hook interfaces and emit helpers for the virtual GPU.
 
-This module is the *hook point* between the simulated device and the
-two observability subsystems — the :mod:`repro.analysis` sanitizer and
-the :mod:`repro.obs` tracer — and deliberately knows nothing about any
-concrete client.  The device primitives (:mod:`.atomics`,
-:mod:`.memory`, :mod:`.kernel`), the conflict engine
-(:mod:`repro.core.conflict`) and the counters consult
-:func:`current_sanitizer` / :func:`current_tracer` on every operation;
-when no client is active (the default) each check is a single ``None``
-comparison, so production runs pay essentially nothing and consume no
-RNG draws.
+This module is the *hook point* between the simulated device and its
+opt-in clients — the :mod:`repro.analysis` sanitizer, the
+:mod:`repro.obs` tracer and the :mod:`repro.vgpu.faults` injector — and
+deliberately knows nothing about any concrete client.  It defines the
+three client interfaces (:class:`SanitizerHooks`, :class:`TracerHooks`,
+:class:`FaultHooks`) and the small emit helpers the device and core
+layers call.  The active clients themselves live in the
+:mod:`repro.hooks` slots (``SANITIZER``, ``TRACER``,
+``DEVICE_FAULTS``); when no client is active (the default) each check
+is a single attribute load and a ``None`` comparison, so production
+runs pay essentially nothing and consume no RNG draws.
 
-A sanitizer is any object implementing the :class:`SanitizerHooks`
-interface (all methods are optional no-ops on the base class).  It is
-installed for a dynamic scope with :func:`activate`::
+A client is installed for a dynamic scope with its slot, or with the
+client's own ``activate()``::
 
     from repro.analysis import RaceDetector
 
     det = RaceDetector()
-    with det.activate():          # wraps instrument.activate(det)
+    with det.activate():          # SANITIZER.use(det), then a flush
         refine_gpu(mesh)
     det.assert_clean()
 
-A tracer is any object implementing :class:`TracerHooks` (the concrete
-one is :class:`repro.obs.Tracer`); it is installed with
-:func:`activate_tracer` / :func:`maybe_activate_tracer` and fed through
-the :func:`trace_span` / :func:`trace_launch` / :func:`trace_gauge`
-convenience wrappers sprinkled through the device and core layers.
-
-Kernels that perform raw vectorized gathers/stores outside the atomics
-API can annotate them with :func:`record_read` / :func:`record_write`
-so the race detector's shadow memory sees them too.
+Every driver also takes opt-in ``sanitizer=`` / ``tracer=`` keywords
+that install the clients through :func:`repro.hooks.driver_entry`.
+Tracers are fed through the :func:`trace_span` / :func:`trace_launch`
+/ :func:`trace_gauge` helpers sprinkled through the device and core
+layers; kernels that perform raw vectorized gathers/stores outside the
+atomics API annotate them with :func:`record_read` /
+:func:`record_write` so the race detector's shadow memory sees them
+too.
 """
 
 from __future__ import annotations
@@ -39,14 +38,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ..hooks import DEVICE_FAULTS, SANITIZER, TRACER
+
 __all__ = [
-    "SanitizerHooks", "current_sanitizer", "activate", "maybe_activate",
-    "record_read", "record_write",
-    "TracerHooks", "current_tracer", "activate_tracer",
-    "maybe_activate_tracer", "suppress_tracer",
-    "trace_span", "trace_launch", "trace_gauge",
-    "FaultHooks", "current_faults", "activate_faults",
-    "maybe_activate_faults", "fault_malloc", "fault_chunk", "fault_pool",
+    "SanitizerHooks", "record_read", "record_write",
+    "TracerHooks", "trace_span", "trace_launch", "trace_gauge",
+    "FaultHooks", "fault_malloc", "fault_chunk", "fault_pool",
     "fault_kernel", "fault_transfer",
 ]
 
@@ -104,48 +101,10 @@ DeviceAllocator` extents for bounds / use-after-free checks;
         pass
 
 
-_current: SanitizerHooks | None = None
-
-
-def current_sanitizer() -> SanitizerHooks | None:
-    """The innermost active sanitizer, or ``None``."""
-    return _current
-
-
-@contextmanager
-def activate(sanitizer: SanitizerHooks):
-    """Install ``sanitizer`` for the dynamic extent of the ``with`` block.
-
-    Activations nest; the innermost sanitizer receives the events (an
-    outer one is restored when the inner scope exits).
-    """
-    global _current
-    prev = _current
-    _current = sanitizer
-    try:
-        yield sanitizer
-    finally:
-        _current = prev
-
-
-@contextmanager
-def maybe_activate(sanitizer: SanitizerHooks | None):
-    """Like :func:`activate` but a no-op when ``sanitizer`` is ``None``.
-
-    This is the opt-in entry-point idiom: every algorithm driver takes a
-    ``sanitizer=None`` keyword and wraps its body in ``maybe_activate``.
-    """
-    if sanitizer is None:
-        yield None
-        return
-    with activate(sanitizer):
-        yield sanitizer
-
-
 def record_read(arr: np.ndarray, idx, *, tids=None,
                 intent: str = "load") -> None:
     """Annotate a raw vectorized gather for the active sanitizer."""
-    san = _current
+    san = SANITIZER.value
     if san is not None:
         san.on_read(arr, idx, tids=tids, intent=intent)
 
@@ -153,7 +112,7 @@ def record_read(arr: np.ndarray, idx, *, tids=None,
 def record_write(arr: np.ndarray, idx, *, tids=None, kind: str = "plain",
                  intent: str = "store") -> None:
     """Annotate a raw vectorized store for the active sanitizer."""
-    san = _current
+    san = SANITIZER.value
     if san is not None:
         san.on_write(arr, idx, tids=tids, kind=kind, intent=intent)
 
@@ -206,67 +165,10 @@ class TracerHooks:
         pass
 
 
-_current_tracer: TracerHooks | None = None
-
-
-def current_tracer() -> TracerHooks | None:
-    """The innermost active tracer, or ``None``."""
-    return _current_tracer
-
-
-@contextmanager
-def activate_tracer(tracer: TracerHooks):
-    """Install ``tracer`` for the dynamic extent of the ``with`` block.
-
-    Activations nest; the innermost tracer receives the events (an
-    outer one is restored when the inner scope exits).
-    """
-    global _current_tracer
-    prev = _current_tracer
-    _current_tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _current_tracer = prev
-
-
-@contextmanager
-def maybe_activate_tracer(tracer: TracerHooks | None):
-    """Like :func:`activate_tracer` but a no-op when ``tracer`` is ``None``.
-
-    This is the opt-in entry-point idiom: every algorithm driver takes a
-    ``tracer=None`` keyword and wraps its body in
-    ``maybe_activate_tracer``, mirroring ``sanitizer=``.
-    """
-    if tracer is None:
-        yield None
-        return
-    with activate_tracer(tracer):
-        yield tracer
-
-
-@contextmanager
-def suppress_tracer():
-    """Temporarily deactivate the tracer for the ``with`` block.
-
-    Used by subsystems that report their own finer-grained (per-phase)
-    priced events and then also feed an :class:`~repro.core.counters.\
-OpCounter` — whose launch hook would otherwise price the same work a
-    second time.
-    """
-    global _current_tracer
-    prev = _current_tracer
-    _current_tracer = None
-    try:
-        yield
-    finally:
-        _current_tracer = prev
-
-
 @contextmanager
 def trace_span(name: str, cat: str = "span", **args):
     """Open a tracer span for the ``with`` block (no-op when inactive)."""
-    tr = _current_tracer
+    tr = TRACER.value
     if tr is None:
         yield None
         return
@@ -279,14 +181,14 @@ def trace_span(name: str, cat: str = "span", **args):
 
 def trace_launch(name: str, **counts) -> None:
     """Report a completed launch/phase to the active tracer, if any."""
-    tr = _current_tracer
+    tr = TRACER.value
     if tr is not None:
         tr.on_launch(name, **counts)
 
 
 def trace_gauge(name: str, value: float) -> None:
     """Sample a gauge on the active tracer, if any."""
-    tr = _current_tracer
+    tr = TRACER.value
     if tr is not None:
         tr.on_gauge(name, value)
 
@@ -339,71 +241,36 @@ RecyclePoolExhausted`;
         pass
 
 
-_current_faults: FaultHooks | None = None
-
-
-def current_faults() -> FaultHooks | None:
-    """The innermost active fault client, or ``None``."""
-    return _current_faults
-
-
-@contextmanager
-def activate_faults(faults: FaultHooks):
-    """Install ``faults`` for the dynamic extent of the ``with`` block.
-
-    Activations nest; the innermost client receives the events (an
-    outer one is restored when the inner scope exits).
-    """
-    global _current_faults
-    prev = _current_faults
-    _current_faults = faults
-    try:
-        yield faults
-    finally:
-        _current_faults = prev
-
-
-@contextmanager
-def maybe_activate_faults(faults: FaultHooks | None):
-    """Like :func:`activate_faults` but a no-op when ``faults`` is
-    ``None`` — the opt-in idiom mirroring ``sanitizer=``/``tracer=``."""
-    if faults is None:
-        yield None
-        return
-    with activate_faults(faults):
-        yield faults
-
-
 def fault_malloc(nbytes: int) -> None:
     """Offer an allocation of ``nbytes`` to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.value
     if fc is not None:
         fc.on_malloc(nbytes)
 
 
 def fault_chunk() -> None:
     """Offer a chunk-pool allocation to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.value
     if fc is not None:
         fc.on_chunk_alloc()
 
 
 def fault_pool(n: int) -> None:
     """Offer a recycle-pool release of ``n`` slots to the fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.value
     if fc is not None:
         fc.on_pool_release(n)
 
 
 def fault_kernel(name: str) -> None:
     """Offer a named kernel launch to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.value
     if fc is not None:
         fc.on_kernel_launch(name)
 
 
 def fault_transfer(words: int) -> None:
     """Offer a host<->device transfer to the active fault client."""
-    fc = _current_faults
+    fc = DEVICE_FAULTS.value
     if fc is not None:
         fc.on_transfer(words)

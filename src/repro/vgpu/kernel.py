@@ -25,9 +25,9 @@ import numpy as np
 
 from ..core.counters import OpCounter
 from ..errors import MaxRoundsExceeded
+from ..hooks import SANITIZER, TRACER
 from .device import GpuSpec, LaunchConfig, TESLA_C2070
-from .instrument import (current_sanitizer, current_tracer, fault_kernel,
-                         trace_span)
+from .instrument import fault_kernel, trace_span
 
 __all__ = ["KernelLauncher", "spmd_launch"]
 
@@ -53,7 +53,7 @@ class KernelLauncher:
         # Record geometry so the cost model can price barriers correctly.
         counter.scalars.setdefault("cfg_blocks", config.blocks)
         counter.scalars.setdefault("cfg_tpb", config.threads_per_block)
-        tr = current_tracer()
+        tr = TRACER.value
         if tr is not None:
             tr.on_geometry(config.blocks, config.threads_per_block)
 
@@ -112,7 +112,7 @@ def spmd_launch(
     Returns the number of barrier phases executed.  Raises ``RuntimeError``
     if ``max_phases`` is exceeded (a deadlock guard for tests).
 
-    When a sanitizer is active (:mod:`repro.vgpu.instrument`), every
+    When a sanitizer is active (:data:`repro.hooks.SANITIZER`), every
     barrier is reported to it (so racy same-phase accesses are grouped
     correctly) and the per-thread barrier counts are handed to its
     barrier-divergence checker at kernel exit.  Threads reaching
@@ -123,7 +123,7 @@ def spmd_launch(
     """
     rng = rng or np.random.default_rng()  # sta: ignore[STA204] caller-controlled test fallback
     fault_kernel(name)
-    san = current_sanitizer()
+    san = SANITIZER.value
     if not inspect.isgeneratorfunction(thread_fn):
         if san is not None:
             san.on_kernel_begin(name, threads=n_threads)

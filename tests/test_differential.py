@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.addition import (HostOnly, KernelHost, KernelOnly,
-                                 OutOfDeviceMemory, PreAllocation)
+                                 PreAllocation)
 from repro.core.deletion import (ExplicitDeletion, MarkingDeletion,
                                  RecycleDeletion)
+from repro.errors import OutOfDeviceMemory
 from repro.graphgen import grid2d, random_graph, rmat
 from repro.mst import boruvka_gpu
 from repro.mst.kruskal import kruskal

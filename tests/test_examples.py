@@ -58,8 +58,7 @@ class TestExamplesRun:
 
 #: every ``python -m`` entry point the CI workflow invokes
 ENTRY_POINTS = ["repro.tune", "repro.serve", "repro.scenarios",
-                "repro.sessions", "repro.gateway", "repro.analysis.static",
-                "repro.analysis.lint"]
+                "repro.sessions", "repro.gateway", "repro.analysis.static"]
 
 
 @pytest.mark.parametrize("module", ENTRY_POINTS)

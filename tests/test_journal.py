@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CorruptJournal, DiskFull, TornWrite
+from repro.errors import CorruptJournal, DiskFull, FaultInjected, TornWrite
 from repro.gateway.journal import (JOURNAL_SCHEMA, Journal, _decode,
                                    _encode, read_journal)
 from repro.gateway.recovery import recover_state
-from repro.serve.faults import (DiskFaultPlan, DiskFaultRule,
-                                FaultInjected)
+from repro.serve.faults import DiskFaultPlan, DiskFaultRule
 
 
 def _admit(seq, *, kind="job", tenant="acme", name="j", key=None,

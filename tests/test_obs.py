@@ -10,11 +10,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.hooks import TRACER
 from repro.obs import (BENCH_SCHEMA, Tracer, TraceSchemaError, chrome_trace,
                        metrics_dict, read_bench, validate_chrome_trace,
                        write_bench, write_chrome_trace)
-from repro.vgpu.instrument import (current_tracer, suppress_tracer,
-                                   trace_gauge, trace_launch, trace_span)
+from repro.vgpu.instrument import trace_gauge, trace_launch, trace_span
 
 
 def _launch(tr: Tracer, name: str = "k", **kw):
@@ -112,23 +112,11 @@ def test_metrics_dict_contents():
 # --------------------------------------------------------------------- #
 
 def test_module_hooks_are_noops_when_inactive():
-    assert current_tracer() is None
+    assert TRACER.value is None
     trace_launch("k", items=4)          # must not raise
     trace_gauge("g", 1)
     with trace_span("s", cat="driver") as s:
         assert s is None
-
-
-def test_activate_and_suppress():
-    tr = Tracer()
-    with tr.activate():
-        assert current_tracer() is tr
-        with suppress_tracer():
-            assert current_tracer() is None
-            trace_launch("hidden", items=4)
-        assert current_tracer() is tr
-    assert current_tracer() is None
-    assert "hidden" not in tr.launch_totals
 
 
 # --------------------------------------------------------------------- #

@@ -13,11 +13,14 @@ import pytest
 
 from repro.analysis import (BARRIER_DIVERGENCE, DOUBLE_FREE, OUT_OF_BOUNDS,
                             RaceDetector, READ_WRITE, USE_AFTER_FREE,
-                            WRITE_WRITE, lint_paths, lint_source)
+                            WRITE_WRITE)
+from repro.analysis.static import (ModuleModel, Program, analyze_paths,
+                                   rule_codes, run_rules)
 from repro.core.conflict import three_phase_mark, two_phase_mark
 from repro.core.ragged import Ragged
+from repro.hooks import SANITIZER
 from repro.vgpu.atomics import atomic_add, scatter_write
-from repro.vgpu.instrument import current_sanitizer, record_read
+from repro.vgpu.instrument import record_read
 from repro.vgpu.kernel import spmd_launch
 from repro.vgpu.memory import DeviceAllocator
 
@@ -259,13 +262,6 @@ class TestBarrierDivergence:
 # detector mechanics                                                    #
 # --------------------------------------------------------------------- #
 class TestDetectorMechanics:
-    def test_activation_is_scoped(self):
-        det = RaceDetector()
-        assert current_sanitizer() is None
-        with det.activate():
-            assert current_sanitizer() is det
-        assert current_sanitizer() is None
-
     def test_watch_labels_reports(self):
         det = RaceDetector()
         dest = np.zeros(8, dtype=np.int64)
@@ -291,7 +287,7 @@ class TestDetectorMechanics:
         dest = np.zeros(4, dtype=np.int64)
         scatter_write(dest, np.array([1, 1]), np.array([5, 6]),
                       np.random.default_rng(0))
-        assert current_sanitizer() is None
+        assert SANITIZER.value is None
 
 
 # --------------------------------------------------------------------- #
@@ -389,8 +385,16 @@ class TestDriversClean:
 
 
 # --------------------------------------------------------------------- #
-# static lint pass                                                      #
+# static lint pass (the KRN rules of repro.analysis.static)             #
 # --------------------------------------------------------------------- #
+KRN_CODES = frozenset(c for c in rule_codes() if c.startswith("KRN"))
+
+
+def lint_source(source: str, path: str):
+    return run_rules(Program(modules=[ModuleModel(path, source)]),
+                     codes=KRN_CODES)
+
+
 class TestLint:
     def test_raw_store_in_launch_block(self):
         src = (
@@ -454,6 +458,8 @@ class TestLint:
         assert lint_source(src, "x.py") == []
 
     def test_repo_source_tree_is_lint_clean(self):
-        findings, files = lint_paths(["src/repro"])
-        assert files > 50
+        program = analyze_paths(["src/repro"])
+        assert not program.syntax_errors
+        assert len(program.modules) > 50
+        findings = run_rules(program, codes=KRN_CODES)
         assert findings == [], "\n".join(str(f) for f in findings)

@@ -1,6 +1,8 @@
 """Seed-stability regression: every driver, run twice with the same
-seed — plain, under a tracer, and under the sanitizer — must produce
-identical results and identical OpCounter totals.
+seed — plain, under a tracer, under the sanitizer, and under all three
+hooks at once (tracer, sanitizer and a fault-free resilience runtime
+stacked through the driver entry) — must produce identical results and
+identical OpCounter totals.
 
 This is the contract that makes the observability and analysis layers
 safe to leave wired in: they draw nothing from the RNG and touch no
@@ -15,15 +17,21 @@ import pytest
 from repro.analysis import RaceDetector
 from repro.core.counters import OpCounter
 from repro.obs import Tracer
+from repro.resilience import Resilience
 
-MODES = ["plain", "tracer", "sanitizer"]
+MODES = ["plain", "tracer", "sanitizer", "all"]
 
 
-def _kwargs(mode):
+def _kwargs(mode, *, resilience=True):
     if mode == "tracer":
         return {"tracer": Tracer()}
     if mode == "sanitizer":
         return {"sanitizer": RaceDetector()}
+    if mode == "all":
+        kw = {"tracer": Tracer(), "sanitizer": RaceDetector()}
+        if resilience:
+            kw["resilience"] = Resilience()
+        return kw
     return {}
 
 
@@ -63,7 +71,9 @@ def test_legalize_stable(mode):
         random_legal_flips(mesh, 25, seed=6)
         return legalize_gpu(mesh, seed=7, **kw), mesh
 
-    (a, ma), (b, mb) = run(_kwargs("plain")), run(_kwargs(mode))
+    # legalize_gpu has no resilience= keyword
+    (a, ma), (b, mb) = (run(_kwargs("plain")),
+                        run(_kwargs(mode, resilience=False)))
     assert a.flips == b.flips and a.rounds == b.rounds
     assert np.array_equal(ma.tri[:ma.n_tris], mb.tri[:mb.n_tris])
     _assert_same_counters(a.counter, b.counter, mode)

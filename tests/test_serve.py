@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.counters import OpCounter
 from repro.core.engine import EngineCheckpoint, MorphStats
-from repro.serve import (CheckpointStore, FaultInjected, FaultInjector,
-                         FaultPlan, JobContext, JobSpec, Scheduler,
+from repro.errors import FaultInjected
+from repro.serve import (CheckpointStore, FaultInjector, FaultPlan,
+                         JobContext, JobSpec, Scheduler,
                          dumps_state, estimate_cost, get_adapter,
                          known_algorithms, loads_state, order_jobs, run_job,
                          submit_batch)

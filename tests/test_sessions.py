@@ -25,7 +25,6 @@ from repro.serve.jobs import JobSpec, estimate_cost
 from repro.sessions import (DEFAULT_FULL_THRESHOLD, MutationLog, Session,
                             SessionSpec, planned_algorithms, planner_for)
 from repro.sessions.planners.mst import forest_components
-from repro.vgpu.instrument import activate_tracer
 
 pytestmark = pytest.mark.session
 
@@ -333,7 +332,7 @@ def test_kill_resume_through_pool(tmp_path):
 def test_gauges_emitted_per_batch():
     tracer = Tracer()
     spec = _spec("mst", 15)
-    with activate_tracer(tracer):
+    with tracer.activate():
         session = Session.open(spec)
         for ops in spec.batches:
             session.apply_batch(ops)

@@ -1,8 +1,7 @@
 """Tests for :mod:`repro.analysis.static` — the whole-program kernel
 effect analyzer: fixture corpus golden findings, the §7.3 acceptance
 pair (two-phase flagged / three-phase clean), suppressions, baselines,
-manifests, report formats, CLI exit codes, and the deprecated
-``repro.analysis.lint`` alias.
+manifests, report formats, and CLI exit codes.
 
 Tests marked ``static`` form the CI ``static-verify`` gate and can be
 run alone with ``pytest --static``.
@@ -15,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import lint_paths, lint_source
-from repro.analysis.lint import main as lint_main
 from repro.analysis.static import (MANIFEST_PACKAGES, analyze_paths,
                                    apply_baseline, apply_suppressions,
                                    build_manifests, load_baseline,
@@ -244,42 +241,3 @@ class TestReportsAndCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(bad) in err and "KRN000" in err
-
-
-# --------------------------------------------------------------------- #
-# the deprecated repro.analysis.lint alias                              #
-# --------------------------------------------------------------------- #
-class TestLintAlias:
-    def test_lint_source_runs_krn_rules_only(self):
-        src = (
-            "def kern(ctr, dest, idx, val):\n"
-            "    with ctr.launch('k', items=4) as rec:\n"
-            "        dest[idx] = val\n"
-            "        rec(writes=4)\n"
-        )
-        findings = lint_source(src, "x.py")
-        assert [f.code for f in findings] == ["KRN101"]
-
-    def test_lint_paths_over_fixture_corpus(self):
-        # The STA fixtures contain no KRN violations: the alias only
-        # runs the KRN subset, so the corpus is lint-clean.
-        findings, checked = lint_paths([str(FIXTURES)])
-        assert checked == 5
-        assert findings == []
-
-    def test_lint_cli_syntax_error_exits_2_with_path(self, tmp_path,
-                                                     capsys):
-        """KRN000 regression for the alias CLI: same contract as the
-        static analyzer — path on stderr, exit 2, not a rule finding."""
-        bad = tmp_path / "broken.py"
-        bad.write_text("def broken(:\n")
-        rc = lint_main([str(bad)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert str(bad) in err and "KRN000" in err
-
-    def test_lint_cli_clean_run_exits_0(self, tmp_path, capsys):
-        good = tmp_path / "good.py"
-        good.write_text("X = 1\n")
-        assert lint_main([str(good)]) == 0
-        capsys.readouterr()

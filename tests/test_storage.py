@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 from repro.errors import (ArtifactError, CorruptCheckpoint,
                           CorruptJournal, CorruptScenario, DiskFull,
-                          StorageFault, TornWrite)
+                          FaultInjected, StorageFault, TornWrite)
 from repro.gateway.journal import Journal, read_journal
+from repro.hooks import DISK_FAULTS
 from repro.scenarios.format import (Scenario, canonical_bytes,
                                     load_scenario, save_scenario)
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.faults import (DISK_KINDS, DiskFaultInjector,
-                                DiskFaultPlan, DiskFaultRule,
-                                FaultInjected, activate_disk)
+                                DiskFaultPlan, DiskFaultRule)
 from repro.storage import atomic_write_bytes, atomic_write_json, quarantine
 from repro.tune.cache import TuneRecord, TuningCache
 
@@ -78,7 +78,7 @@ class TestAtomicWrite:
     def test_every_fault_kind_keeps_the_old_version(self, tmp_path, kind):
         path = tmp_path / "a.bin"
         atomic_write_bytes(path, b"old-version")
-        with activate_disk(_injector(kind)):
+        with DISK_FAULTS.use(_injector(kind)):
             with pytest.raises(WRITE_ERRORS):
                 atomic_write_bytes(path, b"new-version")
         assert path.read_bytes() == b"old-version"
@@ -92,7 +92,7 @@ class TestAtomicWrite:
         # caller explicitly opted out of the fsync ordering.
         path = tmp_path / "a.bin"
         atomic_write_bytes(path, b"old-version")
-        with activate_disk(_injector("fsync_lost")):
+        with DISK_FAULTS.use(_injector("fsync_lost")):
             with pytest.raises(FaultInjected):
                 atomic_write_bytes(path, b"new-version", fsync=False)
         assert path.read_bytes() not in (b"old-version", b"new-version")
@@ -100,7 +100,7 @@ class TestAtomicWrite:
     def test_path_filter_targets_only_matching_writes(self, tmp_path):
         inj = DiskFaultInjector(DiskFaultPlan.of(
             DiskFaultRule(kind="enospc", at=(1, 2), path=".ckpt")))
-        with activate_disk(inj):
+        with DISK_FAULTS.use(inj):
             # Event 1 is due but filtered out by path — and it still
             # advances the counter (a filter never re-times a rule).
             atomic_write_bytes(tmp_path / "a.json", b"fine")
@@ -133,7 +133,7 @@ class TestAtomicWriteProperties:
         path = tmp_path_factory.mktemp("aw") / "artifact.bin"
         if old is not None:
             atomic_write_bytes(path, old)
-        with activate_disk(_injector(kind)):
+        with DISK_FAULTS.use(_injector(kind)):
             with pytest.raises(WRITE_ERRORS):
                 atomic_write_bytes(path, new)
         if old is None:
@@ -156,7 +156,7 @@ class TestCheckpointDurability:
         states = {v: {"round": v, "payload": list(range(v))}
                   for v in (1, 2, 3)}
         failed = None
-        with activate_disk(_injector(kind, at=at)):
+        with DISK_FAULTS.use(_injector(kind, at=at)):
             for v, state in states.items():
                 try:
                     store.save("job", state, version=v)
@@ -195,7 +195,7 @@ class TestTuneCacheDurability:
             record = _record(tag)
             try:
                 # Each put is one durable write event.
-                with activate_disk(_injector(kind, at=1 if i == at
+                with DISK_FAULTS.use(_injector(kind, at=1 if i == at
                                              else 99)):
                     cache.put(record)
             except WRITE_ERRORS:
@@ -226,7 +226,7 @@ class TestScenarioDurability:
         old = Scenario(name="old", description="v1")
         new = Scenario(name="new", description="v2")
         save_scenario(path, old)
-        with activate_disk(_injector(kind)):
+        with DISK_FAULTS.use(_injector(kind)):
             with pytest.raises(WRITE_ERRORS):
                 save_scenario(path, new)
         assert path.read_bytes() == canonical_bytes(old)

@@ -12,9 +12,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import FaultInjected
+from repro.hooks import JOB_FAULTS
 from repro.serve import JobSpec, estimate_cost, order_jobs, run_job
-from repro.serve.faults import (FaultInjected, FaultInjector, FaultPlan,
-                                activate)
+from repro.serve.faults import FaultInjector, FaultPlan
 from repro.tune import (AUTO_SEED, ENGINES, TUNE_SCHEMA, ConfigSpace,
                         TuneRecord, TuningCache, config_key,
                         default_cache_path, fingerprint_params,
@@ -284,7 +285,7 @@ class TestTuningCache:
         cache.put(first)
         before = cache.path.read_bytes()
         inj = FaultInjector(FaultPlan(kind="kill", attempts=(1,)))
-        with activate(inj):
+        with JOB_FAULTS.use(inj):
             with pytest.raises(FaultInjected):
                 cache.put(_record(fingerprint="b" * 16))
         assert inj.fired == 1
@@ -345,7 +346,7 @@ class TestCacheProperties:
         if entries:
             cache.save(entries)
         before = cache.path.read_bytes() if entries else None
-        with activate(FaultInjector(FaultPlan(kind="kill", attempts=(1,)))):
+        with JOB_FAULTS.use(FaultInjector(FaultPlan(kind="kill", attempts=(1,)))):
             with pytest.raises(FaultInjected):
                 cache.put(incoming)
         if entries:
