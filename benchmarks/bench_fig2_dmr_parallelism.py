@@ -11,7 +11,7 @@ triangles, re-planned each step with the vectorized device planner.
 import numpy as np
 
 from harness import SCALE, cached_mesh, emit, table
-from repro.dmr import apply_plan
+from repro.dmr import apply_plan, prepare_fans
 from repro.dmr.refine import _plan_batch
 from repro.vgpu.memory import RecyclePool
 
@@ -41,19 +41,21 @@ def available_parallelism_profile(mesh, seed=0, max_steps=2000):
         if not batch:
             return steps
         steps.append(len(batch))
-        for p in batch:
-            slots, new_tail = pool.allocate(len(p.cavity) + 4, mesh.n_tris)
-            if new_tail > mesh.tri.shape[0]:
-                mesh.ensure_tri_capacity(int(new_tail * 1.5) + 8)
-            mesh.n_tris = max(mesh.n_tris, new_tail)
-            try:
-                info = apply_plan(mesh, p, slots)
-            except (RuntimeError, ValueError):
-                continue
-            used = set(info.new_slots)
-            pool.release(np.asarray(
-                [s for s in slots.tolist() if s not in used]
-                + list(p.cavity), dtype=np.int64))
+        with prepare_fans(mesh, batch) as fans:
+            for j, p in enumerate(batch):
+                slots, new_tail = pool.allocate(len(p.cavity) + 4,
+                                                mesh.n_tris)
+                if new_tail > mesh.tri.shape[0]:
+                    mesh.ensure_tri_capacity(int(new_tail * 1.5) + 8)
+                mesh.n_tris = max(mesh.n_tris, new_tail)
+                try:
+                    info = apply_plan(fans, j, slots)
+                except (RuntimeError, ValueError):
+                    continue
+                used = set(info.new_slots)
+                pool.release(np.asarray(
+                    [s for s in slots.tolist() if s not in used]
+                    + list(p.cavity), dtype=np.int64))
     raise RuntimeError("profile did not terminate")
 
 

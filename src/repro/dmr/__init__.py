@@ -7,13 +7,15 @@ paper's optimizations as switches), :func:`~repro.dmr.sequential.refine_sequenti
 (the speculative-multicore Galois role).
 """
 
-from .plan import RefinePlan, apply_plan, claim_set, plan_refinement
+from .plan import (RefinePlan, apply_plan, claim_set, plan_refinement,
+                   prepare_fans)
 from .refine import DMRConfig, DMRResult, refine_gpu, reorder_mesh
 from .sequential import SequentialResult, refine_sequential
 from .galois import GaloisResult, refine_galois
 
 __all__ = [
     "RefinePlan", "apply_plan", "claim_set", "plan_refinement",
+    "prepare_fans",
     "DMRConfig", "DMRResult", "refine_gpu", "reorder_mesh",
     "SequentialResult", "refine_sequential",
     "GaloisResult", "refine_galois",

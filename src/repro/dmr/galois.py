@@ -29,7 +29,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..errors import CavityError
 from ..meshing.mesh import TriMesh
-from .plan import apply_plan, plan_refinement
+from .plan import apply_plan, plan_refinement, prepare_fans
 
 __all__ = ["refine_galois", "GaloisResult"]
 
@@ -89,39 +89,42 @@ def refine_galois(mesh: TriMesh, threads: int = 48, *, seed: int = 0,
         round_work = np.zeros(k, dtype=np.int64)
         reads = writes = atomics = 0
         wins = 0
-        for j, p in enumerate(plans):
-            if not p.ok:
-                p = plan_refinement(mesh, p.slot, rng=rng)
-            if not p.ok:
-                ctr.bump("skipped." + p.reason)
-                if p.reason not in ("deleted",):
-                    mesh.isbad[p.slot] = False  # unrefinable; drop
-                round_work[j] = 4
-                continue
-            if mesh.isdel[p.slot] or not mesh.isbad[p.slot]:
-                continue
-            touched = len(p.cavity) + len(p.ring)
-            round_work[j] = p.walk_steps + 3 * touched
-            reads += 12 * p.walk_steps + 15 * touched
-            atomics += 2 * touched  # lock acquire + release
-            if any(t in locked for t in p.claims):
-                aborted += 1  # speculation rolled back; work already spent
-                continue
-            slots = take_slots(len(p.cavity) + 4)
-            try:
-                info = apply_plan(mesh, p, slots)
-            except CavityError:
-                aborted += 1  # stale plan behaves like rolled-back work
-                continue
-            locked.update(p.claims)
-            locked.update(info.new_slots)
-            used = set(info.new_slots)
-            free[:] = [s for s in free if s not in used] + list(p.cavity)
-            writes += 12 * info.new_size
-            round_work[j] += 4 * info.new_size
-            processed += 1
-            added += 1
-            wins += 1
+        with prepare_fans(mesh, plans) as fans:
+            for j, p in enumerate(plans):
+                if not p.ok:
+                    fans.flush()  # the exact planner walks the live mesh
+                    p = plan_refinement(mesh, p.slot, rng=rng)
+                    fans.replan(j, p.cavity, p.x, p.y)
+                if not p.ok:
+                    ctr.bump("skipped." + p.reason)
+                    if p.reason not in ("deleted",):
+                        mesh.isbad[p.slot] = False  # unrefinable; drop
+                    round_work[j] = 4
+                    continue
+                if not fans.still_bad(p.slot):
+                    continue
+                touched = len(p.cavity) + len(p.ring)
+                round_work[j] = p.walk_steps + 3 * touched
+                reads += 12 * p.walk_steps + 15 * touched
+                atomics += 2 * touched  # lock acquire + release
+                if any(t in locked for t in p.claims):
+                    aborted += 1  # speculation rolled back; work already spent
+                    continue
+                slots = take_slots(len(p.cavity) + 4)
+                try:
+                    info = apply_plan(fans, j, slots)
+                except CavityError:
+                    aborted += 1  # stale plan behaves like rolled-back work
+                    continue
+                locked.update(p.claims)
+                locked.update(info.new_slots)
+                used = set(info.new_slots)
+                free[:] = [s for s in free if s not in used] + list(p.cavity)
+                writes += 12 * info.new_size
+                round_work[j] += 4 * info.new_size
+                processed += 1
+                added += 1
+                wins += 1
         ctr.launch("galois.refine", items=k, aborted=k - wins,
                    word_reads=reads, word_writes=writes, atomics=atomics,
                    barriers=1, work_per_thread=round_work)

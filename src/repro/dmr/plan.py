@@ -18,13 +18,13 @@ hull cascades: midpoints spawn skinny boundary triangles whose centers
 escape again, and refinement at a 30-degree bound does not terminate.
 
 :func:`plan_refinement` performs 1-3 with exact predicates and returns a
-:class:`RefinePlan`; :func:`apply_plan` performs 4 through the shared
-:func:`repro.meshing.cavity.retriangulate` core.  That core writes each
-fan in bulk and prices the new triangles' quality flags in the same
-write, so :func:`apply_plan` refreshes nothing afterwards.  The
-sequential and speculative-multicore baselines use these directly; the
-GPU kernel plans in vectorized device arithmetic (:mod:`.refine`) but
-applies winners through the same :func:`apply_plan`, so every path
+:class:`RefinePlan`; step 4 runs through the shared bulk
+:func:`repro.meshing.cavity.retriangulate` core: :func:`prepare_fans`
+prepares a batch of plans' fans at once, :func:`apply_plan` takes one,
+and the batch writes the taken fans, quality flags priced, in one go.
+The sequential and speculative-multicore baselines use these directly;
+the GPU kernel plans in vectorized device arithmetic (:mod:`.refine`)
+but applies winners through the same :func:`apply_plan`, so every path
 shares one mutation core.
 
 The *claim set* of a plan is the cavity plus its outer ring of
@@ -40,10 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..meshing import geometry as geo
-from ..meshing.cavity import delaunay_cavity, locate, retriangulate
+from ..meshing.cavity import Fans, delaunay_cavity, locate, retriangulate
 from ..meshing.mesh import TriMesh
 
-__all__ = ["RefinePlan", "plan_refinement", "apply_plan", "claim_set"]
+__all__ = ["RefinePlan", "plan_refinement", "prepare_fans", "apply_plan",
+           "claim_set"]
 
 #: Triangles with circumradius below this floor are never refined — a
 #: floating-point safety net; tests assert it does not bind on our inputs.
@@ -144,18 +145,23 @@ def _encroached_segment(mesh: TriMesh, cavity: list[int], px: float,
     return None
 
 
-def apply_plan(mesh: TriMesh, plan: RefinePlan, slots: np.ndarray):
-    """Execute a planned refinement; returns the CavityInfo.
+def prepare_fans(mesh: TriMesh, plans: list[RefinePlan]) -> Fans:
+    """Prepare every plan's fan in one array pass (a ``with`` block
+    writes the fans taken with :func:`apply_plan` when it ends)."""
+    return retriangulate(mesh, [p.cavity for p in plans],
+                         [p.x for p in plans], [p.y for p in plans])
+
+
+def apply_plan(fans: Fans, j: int, slots: np.ndarray):
+    """Execute plan ``j`` of a :func:`prepare_fans` batch; returns the
+    CavityInfo.
 
     ``slots`` must hold at least ``len(plan.cavity) + 2`` free slots.
     Raises :class:`~repro.errors.CavityError` (``NotStarShaped`` or
     ``CavitySlotsExhausted``) if the plan is geometrically inconsistent
     (possible when it was produced by the device-arithmetic planner);
     callers treat that as an aborted operation.  The mesh is unmodified
-    on failure: the retriangulation core runs every check before it adds
-    the point or deletes the cavity.  The fan's quality flags are priced
-    by that core's bulk write, so nothing is refreshed here.
+    on failure: every check runs before the point is added.  A skipped
+    plan has no fan and raises ``ValueError``.
     """
-    if not plan.ok:
-        raise ValueError(f"cannot apply skipped plan ({plan.reason})")
-    return retriangulate(mesh, plan.cavity, plan.x, plan.y, slots)
+    return fans.take(j, slots)

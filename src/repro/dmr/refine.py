@@ -14,9 +14,10 @@ remain (the paper's do-while in Fig. 3).  Each simulated kernel round:
 3. each thread *marks* its cavity-plus-ring claim and the 3-phase
    race/prioritycheck/check procedure resolves conflicts (Section 7.3);
 4. winners retriangulate their cavities through the exact shared core
-   (:func:`repro.dmr.plan.apply_plan`) — a geometric inconsistency from
-   device-precision planning is treated as an abort; losers back off
-   and retry in a later round;
+   (:func:`repro.dmr.plan.apply_plan`, all of a wave's fans prepared and
+   written in bulk) — a geometric inconsistency from device-precision
+   planning is treated as an abort; losers back off and retry in a
+   later round;
 5. deleted triangle slots are recycled (Section 7.2, Recycle) and the
    triangle arrays grow host-side with an over-allocation factor
    (Section 7.1, Host-Only).
@@ -48,7 +49,7 @@ from ..resilience.policy import launch_ok
 from ..vgpu.instrument import fault_transfer
 from ..vgpu.memory import RecyclePool
 from ..vgpu.sync import BarrierModel, FENCE
-from .plan import RefinePlan, apply_plan
+from .plan import RefinePlan, apply_plan, claim_set, prepare_fans
 
 __all__ = ["DMRConfig", "DMRResult", "refine_gpu", "reorder_mesh",
            "serve_job"]
@@ -247,17 +248,9 @@ def _plan_batch(mesh: TriMesh, slots: np.ndarray, dtype,
         if dup:
             plans[i] = RefinePlan(int(slots[i]), False, "duplicate-point")
             continue
-        ring = []
-        inside = set(cav)
-        for t in cav:
-            for e in range(3):
-                u = int(mesh.nbr[t, e])
-                if u >= 0 and u not in inside:
-                    ring.append(u)
-        ring = list(dict.fromkeys(ring))
         plans[i] = RefinePlan(int(slots[i]), True, x=float(tx[i]),
                               y=float(ty[i]), on_boundary=bool(on_boundary[i]),
-                              cavity=cav, ring=ring,
+                              cavity=cav, ring=claim_set(mesh, cav),
                               walk_steps=int(stats["walk_steps"][i]))
     return plans, stats
 
@@ -504,27 +497,28 @@ def _refine_impl(mesh: TriMesh, config: DMRConfig | None,
                 marks = np.full(mesh.tri.shape[0], -1, dtype=np.int64)
             write_words = 0
             wave_wins = 0
-            for i in winners:
-                p = plans[i]
-                need = len(p.cavity) + 4
-                slots, new_tail = pool.allocate(need, mesh.n_tris)
-                mesh.n_tris = max(mesh.n_tris, new_tail)
-                try:
-                    info = apply_plan(mesh, p, slots)
-                except CavityError:
-                    aborted_geom += 1
-                    pool.release(slots)  # unused; slots remain free
-                    continue
-                used = set(info.new_slots)
-                unused = [s for s in slots.tolist() if s not in used]
-                if unused:
-                    mesh.isdel[np.asarray(unused, dtype=np.int64)] = True
-                    pool.release(np.asarray(unused, dtype=np.int64))
-                pool.release(np.asarray(p.cavity, dtype=np.int64))
-                write_words += 12 * info.new_size + len(p.cavity)
-                processed += 1
-                wave_wins += 1
-                added += 1
+            with prepare_fans(mesh, [plans[i] for i in winners]) as fans:
+                for j, i in enumerate(winners):
+                    p = plans[i]
+                    need = len(p.cavity) + 4
+                    slots, new_tail = pool.allocate(need, mesh.n_tris)
+                    mesh.n_tris = max(mesh.n_tris, new_tail)
+                    try:
+                        info = apply_plan(fans, j, slots)
+                    except CavityError:
+                        aborted_geom += 1
+                        pool.release(slots)  # unused; slots remain free
+                        continue
+                    used = set(info.new_slots)
+                    unused = [s for s in slots.tolist() if s not in used]
+                    if unused:
+                        mesh.isdel[np.asarray(unused, dtype=np.int64)] = True
+                        pool.release(np.asarray(unused, dtype=np.int64))
+                    pool.release(np.asarray(p.cavity, dtype=np.int64))
+                    write_words += 12 * info.new_size + len(p.cavity)
+                    processed += 1
+                    wave_wins += 1
+                    added += 1
             parallelism.append(wave_wins)
             kern_round_wins += wave_wins
 

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.counters import OpCounter
 from ..errors import CavityError
 from ..meshing.mesh import TriMesh
-from .plan import apply_plan, plan_refinement
+from .plan import apply_plan, plan_refinement, prepare_fans
 
 __all__ = ["refine_sequential", "SequentialResult"]
 
@@ -88,51 +88,56 @@ def refine_sequential(mesh: TriMesh, *, seed: int = 0,
         plans, _ = _plan_batch(mesh, batch, np.float64, rng)
         dirty: set[int] = set()
         applied_any = False
-        for p in plans:
-            if max_points is not None and added >= max_points:
-                guards = True
-                break
-            if not p.ok:
-                # Batch planning failed (rare device-arithmetic corner);
-                # retry exactly before giving up on this triangle.
-                p = plan_refinement(mesh, p.slot, rng=rng)
+        with prepare_fans(mesh, plans) as fans:
+            for j, p in enumerate(plans):
+                if max_points is not None and added >= max_points:
+                    guards = True
+                    break
                 if not p.ok:
-                    if p.reason != "deleted":
-                        skipped += 1
-                        ctr.bump("skipped." + p.reason)
-                        mesh.isbad[p.slot] = False  # unrefinable; drop
+                    # Batch planning failed (rare device-arithmetic corner);
+                    # retry exactly before giving up on this triangle.
+                    fans.flush()  # the exact planner walks the live mesh
+                    p = plan_refinement(mesh, p.slot, rng=rng)
+                    fans.replan(j, p.cavity, p.x, p.y)
+                    if not p.ok:
+                        if p.reason != "deleted":
+                            skipped += 1
+                            ctr.bump("skipped." + p.reason)
+                            mesh.isbad[p.slot] = False  # unrefinable; drop
+                        continue
+                if not fans.still_bad(p.slot):
                     continue
-            if mesh.isdel[p.slot] or not mesh.isbad[p.slot]:
-                continue
-            if any(t in dirty for t in p.claims):
-                stale_skips += 1  # replanned in a later batch, not counted
-                continue
-            slots = take_slots(len(p.cavity) + 4)
-            try:
-                info = apply_plan(mesh, p, slots)
-            except CavityError:
-                stale_skips += 1
-                continue
-            used = set(info.new_slots)
-            free[:] = [s for s in free if s not in used] + list(p.cavity)
-            dirty.update(p.claims)
-            dirty.update(info.new_slots)
-            touched = len(p.cavity) + len(p.ring)
-            ctr.launch("seq.refine", items=1,
-                       word_reads=12 * p.walk_steps + 15 * touched,
-                       word_writes=12 * info.new_size,
-                       work_per_thread=np.asarray(
-                           [p.walk_steps + 3 * touched + 4 * info.new_size]))
-            processed += 1
-            added += 1
-            applied_any = True
+                if any(t in dirty for t in p.claims):
+                    stale_skips += 1  # replanned in a later batch, not counted
+                    continue
+                slots = take_slots(len(p.cavity) + 4)
+                try:
+                    info = apply_plan(fans, j, slots)
+                except CavityError:
+                    stale_skips += 1
+                    continue
+                used = set(info.new_slots)
+                free[:] = [s for s in free if s not in used] + list(p.cavity)
+                dirty.update(p.claims)
+                dirty.update(info.new_slots)
+                touched = len(p.cavity) + len(p.ring)
+                ctr.launch("seq.refine", items=1,
+                           word_reads=12 * p.walk_steps + 15 * touched,
+                           word_writes=12 * info.new_size,
+                           work_per_thread=np.asarray(
+                               [p.walk_steps + 3 * touched
+                                + 4 * info.new_size]))
+                processed += 1
+                added += 1
+                applied_any = True
         if not applied_any:
             # Whole batch stale/unusable (rare): force guaranteed progress
             # through one exact scalar fix so the loop cannot spin.
             p = plan_refinement(mesh, int(bad[0]), rng=rng)
             if p.ok:
                 slots = take_slots(len(p.cavity) + 4)
-                info = apply_plan(mesh, p, slots)
+                with prepare_fans(mesh, [p]) as one:
+                    info = apply_plan(one, 0, slots)
                 used = set(info.new_slots)
                 free[:] = [s for s in free if s not in used] + list(p.cavity)
                 processed += 1

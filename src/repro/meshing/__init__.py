@@ -10,8 +10,8 @@ generation (:mod:`.generate`) and Triangle-compatible I/O (:mod:`.io`).
 from .mesh import TriMesh
 from .triangulation import build_delaunay, morton_order
 from .generate import random_mesh, random_points_mesh
-from .cavity import (CavityInfo, Located, cavity_boundary, delaunay_cavity,
-                     locate, retriangulate)
+from .cavity import (CavityInfo, Fans, Located, cavity_boundary,
+                     delaunay_cavity, locate, retriangulate, retriangulate_one)
 from .gpu_insert import InsertResult, gpu_insert_points
 from .edgeflip import (FlipResult, find_nondelaunay_edges, flip_edge,
                        legalize_gpu, random_legal_flips)
@@ -23,7 +23,8 @@ from . import io
 __all__ = [
     "TriMesh", "build_delaunay", "morton_order", "random_mesh",
     "random_points_mesh", "CavityInfo", "Located", "cavity_boundary",
-    "delaunay_cavity", "locate", "retriangulate", "geometry", "io",
+    "delaunay_cavity", "locate", "retriangulate", "retriangulate_one",
+    "Fans", "geometry", "io",
     "InsertResult", "gpu_insert_points",
     "FlipResult", "find_nondelaunay_edges", "flip_edge", "legalize_gpu",
     "random_legal_flips", "MeshQuality", "angle_histogram",

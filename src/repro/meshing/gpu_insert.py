@@ -10,8 +10,10 @@ insert points into one triangulation concurrently.  Each round:
    critical structural change);
 2. the cavity-plus-ring claim goes through the same 3-phase marking as
    DMR (:func:`repro.core.conflict.three_phase_mark`);
-3. winners retriangulate through the shared mutation core; losers retry
-   next round.
+3. winners retriangulate through the shared mutation core: the round's
+   winning cavities are prepared in one array pass
+   (:func:`repro.meshing.cavity.retriangulate`), each winner takes its
+   fan and one bulk write stores them all; losers retry next round.
 
 This exercises the morph toolkit end-to-end on a second real algorithm
 and doubles as a parallel mesh builder: the result equals an
@@ -152,32 +154,34 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
                                ensure_progress=True)
         wins = 0
         writes = 0
-        for j in np.flatnonzero(res.winners):
-            i, cav, _ = ok[int(j)]
-            slots, new_tail = pool.allocate(len(cav) + 4, mesh.n_tris)
-            if new_tail > mesh.tri.shape[0]:
-                grow_array(resil, mesh.ensure_tri_capacity,
-                           preferred=int(new_tail * 1.5) + 8,
-                           exact=int(new_tail))
-            mesh.n_tris = max(mesh.n_tris, new_tail)
-            try:
-                info = retriangulate(mesh, cav, float(x[i]), float(y[i]),
-                                     slots)
-            except CavityError:
-                aborted += 1
-                pool.release(slots)
-                continue
-            used = set(info.new_slots)
-            spare = [s for s in slots.tolist() if s not in used]
-            if spare:
-                mesh.isdel[np.asarray(spare, dtype=np.int64)] = True
-                pool.release(np.asarray(spare, dtype=np.int64))
-            pool.release(np.asarray(cav, dtype=np.int64))
-            pending.remove(i)
-            inserted += 1
-            wins += 1
-            writes += 12 * info.new_size
-            start_hint = info.new_slots[0]
+        winners = [ok[int(j)] for j in np.flatnonzero(res.winners)]
+        with retriangulate(mesh, [cav for _, cav, _ in winners],
+                           [x[i] for i, _, _ in winners],
+                           [y[i] for i, _, _ in winners]) as fans:
+            for j, (i, cav, _) in enumerate(winners):
+                slots, new_tail = pool.allocate(len(cav) + 4, mesh.n_tris)
+                if new_tail > mesh.tri.shape[0]:
+                    grow_array(resil, mesh.ensure_tri_capacity,
+                               preferred=int(new_tail * 1.5) + 8,
+                               exact=int(new_tail))
+                mesh.n_tris = max(mesh.n_tris, new_tail)
+                try:
+                    info = fans.take(j, slots)
+                except CavityError:
+                    aborted += 1
+                    pool.release(slots)
+                    continue
+                used = set(info.new_slots)
+                spare = [s for s in slots.tolist() if s not in used]
+                if spare:
+                    mesh.isdel[np.asarray(spare, dtype=np.int64)] = True
+                    pool.release(np.asarray(spare, dtype=np.int64))
+                pool.release(np.asarray(cav, dtype=np.int64))
+                pending.remove(i)
+                inserted += 1
+                wins += 1
+                writes += 12 * info.new_size
+                start_hint = info.new_slots[0]
         if san is not None:
             san.on_kernel_end("insert.round")
         aborted += res.num_aborted

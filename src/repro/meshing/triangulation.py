@@ -8,7 +8,8 @@ refinement boundary is therefore the rectangle's edge set.
 
 Insertions go point by point: a visibility walk locates the containing
 triangle (:func:`repro.meshing.cavity.locate`), the Delaunay cavity is
-carved out and fan-retriangulated (:func:`~repro.meshing.cavity.retriangulate`).
+carved out and fan-retriangulated
+(:func:`~repro.meshing.cavity.retriangulate_one`).
 Points are inserted in Morton (Z-curve) order so consecutive insertions
 are spatially close and walks stay short.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import PointEscaped
-from .cavity import delaunay_cavity, locate, retriangulate
+from .cavity import delaunay_cavity, locate, retriangulate_one
 from .mesh import TriMesh
 
 __all__ = ["build_delaunay", "morton_order"]
@@ -107,7 +108,7 @@ def build_delaunay(x: np.ndarray, y: np.ndarray, *, margin: float = 0.05,
             if mesh.n_tris > mesh.tri.shape[0]:
                 mesh.ensure_tri_capacity(int(mesh.tri.shape[0] * 1.5) + 8)
         slots = np.asarray(free[:need], dtype=np.int64)
-        info = retriangulate(mesh, cavity, xi, yi, slots)
+        info = retriangulate_one(mesh, cavity, xi, yi, slots)
         used = set(info.new_slots)
         free = [s for s in free if s not in used] + list(cavity)
         last = info.new_slots[0]

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import FeedbackAdaptiveConfig
-from repro.dmr import (DMRConfig, apply_plan, plan_refinement, refine_galois,
-                       refine_gpu, refine_sequential, reorder_mesh)
+from repro.dmr import (DMRConfig, apply_plan, plan_refinement, prepare_fans,
+                       refine_galois, refine_gpu, refine_sequential,
+                       reorder_mesh)
+from repro.errors import RecyclePoolExhausted
+from repro.meshing.generate import random_mesh
+from repro.meshing.gpu_insert import gpu_insert_points
+from repro.serve.jobs import digest_arrays
+from repro.vgpu import CostModel
+from repro.vgpu.faults import DeviceFaultPlan, DeviceFaultRule
 from repro.vgpu.sync import NAIVE_ATOMIC
 
 
@@ -40,7 +47,8 @@ class TestPlanning:
         need = len(p.cavity) + 4
         m.ensure_tri_capacity(start + need)
         m.n_tris = start + need
-        info = apply_plan(m, p, np.arange(start, start + need))
+        with prepare_fans(m, [p]) as fans:
+            info = apply_plan(fans, 0, np.arange(start, start + need))
         m.validate()
         if not p.on_boundary:
             assert m.isdel[slot]  # the bad triangle was in its own cavity
@@ -52,7 +60,7 @@ class TestPlanning:
         m.delete([slot])
         p = plan_refinement(m, slot, rng=rng)
         with pytest.raises(ValueError):
-            apply_plan(m, p, np.arange(10))
+            apply_plan(prepare_fans(m, [p]), 0, np.arange(10))
 
     def test_claims_include_ring(self, small_mesh, rng):
         m = small_mesh
@@ -143,17 +151,23 @@ class TestGpuRefine:
 
     @pytest.mark.allow_races
     def test_two_phase_unsafe_can_corrupt_or_survive(self, small_mesh):
-        # The unsafe engine may produce overlapping winners; the kernel
-        # detects the resulting geometric inconsistencies as aborts, so
-        # the run completes, but overlap-induced aborts should appear
-        # across seeds.
-        geom_aborts = 0
-        for seed in range(3):
+        # Section 7.3's race, made executable: without the third marking
+        # phase two overlapping cavities can both win.  The kernel meets
+        # the resulting inconsistencies as geometry aborts; some seeds
+        # still converge to a valid mesh, others corrupt it.
+        for seed, max_rounds, survives in ((0, 400, True), (1, 400, True),
+                                           (2, 5, False)):
             res = refine_gpu(small_mesh.copy(),
                              DMRConfig(seed=seed, conflict="2phase-unsafe",
-                                       max_rounds=400))
-            geom_aborts += res.aborted_geometry
-        assert geom_aborts >= 0  # smoke: must not crash or hang
+                                       max_rounds=max_rounds))
+            assert res.aborted_geometry > 0, seed
+            if survives:
+                assert res.converged, seed
+                res.mesh.validate()
+            else:
+                with pytest.raises(AssertionError,
+                                   match="shared edge mismatch"):
+                    res.mesh.validate()
 
     def test_locks_mode_counts_atomics(self, small_mesh):
         res = refine_gpu(small_mesh.copy(), DMRConfig(conflict="locks"))
@@ -261,3 +275,101 @@ class TestCrossImplementationAgreement:
         gpu = refine_gpu(small_mesh.copy())
         ratio = gpu.mesh.num_triangles / seq.mesh.num_triangles
         assert 0.7 < ratio < 1.4
+
+
+def full_state_digest(mesh):
+    """Digest of every mesh array a driver writes, counters and capacity."""
+    n, q = mesh.n_tris, mesh.n_pts
+    return digest_arrays(
+        (mesh.tri[:n], mesh.nbr[:n], mesh.nbr_edge[:n], mesh.isdel[:n],
+         mesh.isbad[:n], mesh.px[:q], mesh.py[:q]),
+        extra={"n_tris": n, "n_pts": q,
+               "cap": [mesh.tri.shape[0], mesh.px.size]})
+
+
+def _insert_300(mesh):
+    rng = np.random.default_rng(11)
+    return gpu_insert_points(mesh, rng.uniform(0.3, 0.7, 300),
+                             rng.uniform(0.3, 0.7, 300))
+
+
+#: (run, cost-model clock, state digest, modeled seconds) per
+#: configuration, recorded from the per-winner drivers that preceded the
+#: bulk fan write
+DRIVER_PINS = {
+    "gpu-3phase": (
+        lambda m: refine_gpu(m, DMRConfig()), "gpu",
+        "e20e857c1ea1fef961c226aaa8cb719cb725cfbc80361b1a4bec83daedca6952",
+        0.0076492547789855075),
+    "gpu-float32": (
+        lambda m: refine_gpu(m, DMRConfig(precision="float32")), "gpu",
+        "6a86e68428e92816c799383fabf8368264c8835a441ae77318e4b4c7862c38f4",
+        0.007589865213768116),
+    "gpu-2phase-unsafe": (
+        lambda m: refine_gpu(m, DMRConfig(conflict="2phase-unsafe",
+                                          max_rounds=20)), "gpu",
+        "3e49e2291c0ac9ff3573289695bdb6660ec10ad185ff33dcbf101df61b6367cd",
+        0.004102291626811594),
+    "gpu-locks-ondemand-central": (
+        lambda m: refine_gpu(m, DMRConfig(conflict="locks",
+                                          growth_factor=1.0,
+                                          local_worklists=False)), "gpu",
+        "50242d241fbdfd6ef05b1edb14f6e0caa3a6da32c5a25ab058d2ab1a33303842",
+        0.013201843583333333),
+    "galois-4": (
+        lambda m: refine_galois(m, threads=4), 4,
+        "de3381d1b9576da37d6344d41ea55980a7f74f9a4e5301cadda70199c8944a8b",
+        0.0422310845),
+    "galois-48": (
+        lambda m: refine_galois(m, threads=48), 48,
+        "9361f34a7239275581f2b886f5173b8d009ed09c42ee1f225b0a250d4ac155f2",
+        0.03133452775),
+    "sequential-300": (
+        lambda m: refine_sequential(m, max_points=300), "serial",
+        "cf0d13173a912efa308c9bdf87421fb17acffa79eb88442fc1e116e3cd05bf55",
+        0.0037077475),
+    "gpu-insert-300": (
+        _insert_300, "gpu",
+        "ec045d23ef043cb04f70e9b1b93640e886e13c51320c136091eeda6c94f68b50",
+        0.024599259130434783),
+}
+
+
+@pytest.fixture(scope="module")
+def pin_mesh():
+    return random_mesh(1500, seed=3)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=pytest.mark.allow_races) if "unsafe" in n else n
+    for n in DRIVER_PINS])
+def test_driver_output_pinned(pin_mesh, name):
+    """Refined mesh state and modeled seconds are byte-identical to the
+    per-winner retriangulation loop's, on every driver and scheme."""
+    run, clock, digest, seconds = DRIVER_PINS[name]
+    res = run(pin_mesh.copy())
+    cm = CostModel()
+    modeled = (cm.gpu_time(res.counter) if clock == "gpu" else
+               cm.serial_time(res.counter) if clock == "serial" else
+               cm.cpu_time(res.counter, clock))
+    assert full_state_digest(res.mesh) == digest
+    assert modeled == seconds
+
+
+@pytest.mark.parametrize("run,digest", [
+    (lambda m: refine_gpu(m, DMRConfig(layout_opt=False)),
+     "c43b6a62059342f272d56460b0bc02b8f19334715dddaf86f565eafc16e2c1dd"),
+    (lambda m: gpu_insert_points(
+        m, *np.random.default_rng(2).uniform(0.3, 0.7, (2, 200))),
+     "a49f403eca8b232ff332e191d3038946817ae647191eb7e1b4483d58085e1fd3"),
+], ids=["refine_gpu", "gpu_insert_points"])
+def test_fault_mid_wave_leaves_the_taken_fans_written(run, digest):
+    """A typed fault that propagates out of a wave (the 37th recycle-pool
+    release fails, no resilience) leaves the mesh as the per-winner loop
+    left it: every fan taken before the fault is written."""
+    mesh = random_mesh(800, seed=3)
+    plan = DeviceFaultPlan.of(DeviceFaultRule("pool_exhausted", at=(37,)))
+    with pytest.raises(RecyclePoolExhausted):
+        with plan.injector().activate():
+            run(mesh)
+    assert full_state_digest(mesh) == digest

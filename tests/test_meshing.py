@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CavitySlotsExhausted, NotStarShaped
 from repro.meshing import (TriMesh, build_delaunay, cavity_boundary,
                            delaunay_cavity, locate, random_mesh,
-                           retriangulate)
+                           retriangulate, retriangulate_one)
 from repro.meshing.edgeflip import legalize_gpu, random_legal_flips
 from repro.meshing.geometry import is_bad_many, orient2d
 from repro.meshing.gpu_insert import gpu_insert_points
@@ -278,7 +278,7 @@ class TestCavityOps:
         m.ensure_tri_capacity(start + len(cav) + 4)
         slots = np.arange(start, start + len(cav) + 4)
         m.n_tris = start + len(cav) + 4
-        info = retriangulate(m, cav, cx, cy, slots)
+        info = retriangulate_one(m, cav, cx, cy, slots)
         m.validate(check_delaunay=True)
         assert m.num_triangles == n_before + 2  # interior insertion
         assert info.new_size == info.old_size + 2
@@ -291,7 +291,7 @@ class TestCavityOps:
         cav = delaunay_cavity(m, t, cx, cy)
         before = mesh_state(m)
         with pytest.raises(CavitySlotsExhausted):
-            retriangulate(m, cav, cx, cy, np.array([m.n_tris]))
+            retriangulate_one(m, cav, cx, cy, np.array([m.n_tris]))
         # All checks run before the point is added or the cavity deleted.
         assert_state_unchanged(m, before)
 
@@ -309,8 +309,99 @@ class TestCavityOps:
         m.ensure_tri_capacity(start + 8)
         before = mesh_state(m)
         with pytest.raises(NotStarShaped):
-            retriangulate(m, [t], x, y, np.arange(start, start + 8))
+            retriangulate_one(m, [t], x, y, np.arange(start, start + 8))
         assert_state_unchanged(m, before)
+
+
+class TestBatchRetriangulation:
+    """A :func:`retriangulate` batch, taken fan by fan and flushed, leaves
+    the mesh byte-identical to one :func:`retriangulate_one` per take in
+    the same order: also when cavities overlap or touch (the stale path),
+    when a take raises mid-batch, when a cavity is re-planned, and when
+    slots of an earlier cavity of the batch are reused."""
+
+    @staticmethod
+    def interior_point(m, t, rng):
+        w = rng.uniform(0.1, 1.0, 3)
+        w /= w.sum()
+        vs = m.tri[t]
+        return float(w @ m.px[vs]), float(w @ m.py[vs])
+
+    @classmethod
+    def plan(cls, m, kind, prev, rng):
+        """One cavity on the unmodified mesh: (cavity, x, y, seed)."""
+        live = m.live_slots()
+        if kind == "near" and prev is not None:
+            # A neighbor of the previous seed: the cavities overlap or
+            # share boundary triangles.
+            nb = [int(u) for u in m.nbr[prev] if u >= 0]
+            t = nb[rng.integers(len(nb))]
+        else:
+            t = int(live[rng.integers(live.size)])
+        if kind == "not-star":
+            # Beyond vertex a on the centroid->a ray: not star-shaped.
+            vs = m.tri[t]
+            gx, gy = m.px[vs].mean(), m.py[vs].mean()
+            ax, ay = m.px[vs[0]], m.py[vs[0]]
+            return [t], float(2 * ax - gx), float(2 * ay - gy), t
+        x, y = cls.interior_point(m, t, rng)
+        return delaunay_cavity(m, t, x, y), x, y, t
+
+    @given(st.lists(st.sampled_from(("fresh", "near", "not-star", "short",
+                                     "replan")), min_size=1, max_size=10),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_one_at_a_time(self, small_mesh, kinds, seed):
+        rng = np.random.default_rng(seed)
+        plans, prev = [], None
+        for kind in kinds:
+            cav, x, y, prev = self.plan(small_mesh, kind, prev, rng)
+            plans.append((cav, x, y))
+        batch_mesh, one_mesh = small_mesh.copy(), small_mesh.copy()
+        free = {id(batch_mesh): [], id(one_mesh): []}
+
+        def take_slots(m, need):
+            # The multicore drivers' free list: earlier cavities first.
+            f = free[id(m)]
+            while len(f) < need:
+                if m.n_tris >= m.tri.shape[0]:
+                    m.ensure_tri_capacity(int(m.tri.shape[0] * 1.5) + 8)
+                f.append(m.n_tris)
+                m.n_tris += 1
+            return np.asarray(f[:need], dtype=np.int64)
+
+        def run(m, take, j, kind):
+            cav = plans[j][0]
+            slots = take_slots(m, len(cav) + 4)
+            if kind == "short":
+                slots = slots[:1]
+            try:
+                info = take(j, slots)
+            except (NotStarShaped, CavitySlotsExhausted) as exc:
+                return type(exc).__name__
+            used = set(info.new_slots)
+            free[id(m)] = list(cav) + [s for s in free[id(m)]
+                                       if s not in used]
+            return info
+
+        with retriangulate(batch_mesh, *zip(*plans)) as fans:
+            for j, kind in enumerate(kinds):
+                if kind == "replan":
+                    fans.flush()
+                    t = int(rng.choice(batch_mesh.live_slots()))
+                    x, y = self.interior_point(batch_mesh, t, rng)
+                    cav = delaunay_cavity(batch_mesh, t, x, y)
+                    assert cav == delaunay_cavity(one_mesh, t, x, y)
+                    plans[j] = (cav, x, y)
+                    fans.replan(j, cav, x, y)
+                got = run(batch_mesh, fans.take, j, kind)
+                want = run(one_mesh, lambda i, slots: retriangulate_one(
+                    one_mesh, *plans[i], slots), j, kind)
+                assert got == want
+                t = int(rng.integers(one_mesh.n_tris))
+                assert fans.still_bad(t) == bool(one_mesh.isbad[t]
+                                                 and not one_mesh.isdel[t])
+        assert_state_unchanged(batch_mesh, mesh_state(one_mesh))
 
 
 class TestQualityFlagsNeverStale:
@@ -340,8 +431,9 @@ class TestQualityFlagsNeverStale:
                     m.ensure_tri_capacity(m.n_tris + 1)
                     free.append(m.n_tris)
                     m.n_tris += 1
-                info = retriangulate(m, cav, x, y,
-                                     np.asarray(free[:need], dtype=np.int64))
+                info = retriangulate_one(m, cav, x, y,
+                                         np.asarray(free[:need],
+                                                    dtype=np.int64))
                 used = set(info.new_slots)
                 free = cav + [s for s in free if s not in used]
             elif op == "flip":
