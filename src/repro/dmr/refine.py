@@ -52,7 +52,7 @@ from ..vgpu.sync import BarrierModel, FENCE
 from .plan import RefinePlan, apply_plan, claim_set, prepare_fans
 
 __all__ = ["DMRConfig", "DMRResult", "refine_gpu", "reorder_mesh",
-           "serve_job"]
+           "config_from_strategy", "serve_job"]
 
 #: slot distance under which a neighbor access is modeled as cache-local
 LOCAL_WINDOW = 2048
@@ -585,16 +585,35 @@ def _wave_work(attempt: np.ndarray, plans, threads: int, live: int,
 # repro.serve adapter                                                #
 # ------------------------------------------------------------------ #
 
+def config_from_strategy(strategy, seed: int) -> DMRConfig:
+    """The :class:`DMRConfig` a resolved strategy dict selects.
+
+    Keys: ``conflict``, ``barrier`` (a :data:`repro.vgpu.sync.BARRIERS`
+    name), ``layout_opt``, ``local_worklists``, ``sort_work``,
+    ``precision``, ``growth_factor``, ``priority``, ``min_chunk``, and
+    ``adaptive`` (a :func:`repro.core.adaptive.adaptive_from_dict`
+    encoding).
+    """
+    from ..core.adaptive import adaptive_from_dict
+    from ..vgpu.sync import BARRIERS
+
+    kwargs = {k: strategy[k] for k in
+              ("conflict", "layout_opt", "local_worklists", "sort_work",
+               "precision", "growth_factor", "priority", "min_chunk")
+              if k in strategy}
+    if "barrier" in strategy:
+        kwargs["barrier"] = BARRIERS[strategy["barrier"]]
+    if "adaptive" in strategy:
+        kwargs["adaptive"] = adaptive_from_dict(strategy["adaptive"])
+    return DMRConfig(seed=seed, **kwargs)
+
+
 def serve_job(params, strategy, seed, ctx):
     """Job adapter for :mod:`repro.serve` (``algorithm="dmr"``).
 
     Builds a ``params["n_triangles"]``-triangle random mesh from
     ``seed`` and refines it.  ``strategy`` keys map onto
-    :class:`DMRConfig`: ``conflict``, ``barrier`` (``"fence"`` /
-    ``"hierarchical"`` / ``"naive"``), ``layout_opt``,
-    ``local_worklists``, ``sort_work``, ``precision``,
-    ``growth_factor``, ``priority``, ``min_chunk``, and ``adaptive``
-    (a :func:`repro.core.adaptive.adaptive_from_dict` encoding).
+    :class:`DMRConfig` through :func:`config_from_strategy`.
     ``strategy="auto"`` (or ``tuned: true`` in the dict) substitutes
     the :mod:`repro.tune` cached/tuned configuration; unknown keys
     raise ``ValueError``.
@@ -605,25 +624,13 @@ def serve_job(params, strategy, seed, ctx):
     refinement, so the job models "mesh mutated, then re-refined" — the
     dynamic-update scenario recorded traces replay.
     """
-    from ..core.adaptive import adaptive_from_dict
     from ..meshing.generate import random_mesh
     from ..serve.mutations import check_mutations, mutation_points
     from ..tune import resolve_strategy
-    from ..vgpu.sync import HIERARCHICAL, NAIVE_ATOMIC
 
     strategy = resolve_strategy("dmr", params, strategy)
     mutations = check_mutations("dmr", params.get("mutations", ()))
-    barriers = {"fence": FENCE, "hierarchical": HIERARCHICAL,
-                "naive": NAIVE_ATOMIC}
-    kwargs = {k: strategy[k] for k in
-              ("conflict", "layout_opt", "local_worklists", "sort_work",
-               "precision", "growth_factor", "priority", "min_chunk")
-              if k in strategy}
-    if "barrier" in strategy:
-        kwargs["barrier"] = barriers[strategy["barrier"]]
-    if "adaptive" in strategy:
-        kwargs["adaptive"] = adaptive_from_dict(strategy["adaptive"])
-    cfg = DMRConfig(seed=seed, **kwargs)
+    cfg = config_from_strategy(strategy, seed)
     mesh = random_mesh(int(params.get("n_triangles", 600)), seed=seed)
     for op in mutations:
         from ..meshing.gpu_insert import gpu_insert_points

@@ -39,7 +39,8 @@ from ..vgpu.memory import RecyclePool
 from .cavity import delaunay_cavity, locate, retriangulate
 from .mesh import TriMesh
 
-__all__ = ["InsertResult", "gpu_insert_points", "serve_job"]
+__all__ = ["InsertResult", "gpu_insert_points", "serve_job", "job_input",
+           "job_solve"]
 
 
 @dataclass
@@ -207,32 +208,46 @@ def _insert_impl(mesh: TriMesh, x: np.ndarray, y: np.ndarray, *,
 # ------------------------------------------------------------------ #
 
 def serve_job(params, strategy, seed, ctx):
-    """Job adapter for :mod:`repro.serve` (``algorithm="insertion"``).
+    """Job adapter for :mod:`repro.serve` (``algorithm="insertion"``):
+    :func:`job_solve` on :func:`job_input`.
 
-    Builds a ``params["n_triangles"]``-triangle mesh and inserts
-    ``params["n_points"]`` points drawn uniformly from the interior box
-    ``[0.3, 0.7]^2`` (meshes from :func:`~repro.meshing.generate.\
-random_mesh` cover the unit square, so the box stays inside the hull).
     ``strategy`` understands ``max_points_per_round``;
     ``strategy="auto"`` substitutes the :mod:`repro.tune`
     cached/tuned configuration, and unknown keys raise ``ValueError``.
-    ``params["mutations"]`` may carry an ``add_points``/``drop_points``
-    stream (:mod:`repro.serve.mutations`) edit-listing the insertion
-    batch before it runs.
     """
-    from ..serve.mutations import apply_point_mutations, check_mutations
     from ..tune import resolve_strategy
-    from .generate import random_mesh
 
     strategy = resolve_strategy("insertion", params, strategy)
+    return job_solve(job_input(params, seed), params, strategy, seed, ctx)
+
+
+def job_input(params, seed):
+    """The insertion job's point batch ``(x, y)``: ``params["n_points"]``
+    points drawn uniformly from the interior box ``[0.3, 0.7]^2``
+    (meshes from :func:`~repro.meshing.generate.random_mesh` cover the
+    unit square, so the box stays inside the hull), edit-listed by the
+    ``add_points``/``drop_points`` stream in ``params["mutations"]``
+    (:mod:`repro.serve.mutations`)."""
+    from ..serve.mutations import apply_point_mutations, check_mutations
+
     mutations = check_mutations("insertion", params.get("mutations", ()))
-    mesh = random_mesh(int(params.get("n_triangles", 300)), seed=seed)
     rng = np.random.default_rng(seed + 1)
     n_points = int(params.get("n_points", 12))
     x = rng.uniform(0.3, 0.7, n_points)
     y = rng.uniform(0.3, 0.7, n_points)
     if mutations:
         x, y = apply_point_mutations(x, y, mutations)
+    return x, y
+
+
+def job_solve(points, params, strategy, seed, ctx):
+    """Insert ``points`` into a fresh ``params["n_triangles"]``-triangle
+    mesh built from ``seed``; returns ``(arrays, summary)``.  The mesh
+    is built here, not kept as input, because insertion mutates it."""
+    from .generate import random_mesh
+
+    x, y = points
+    mesh = random_mesh(int(params.get("n_triangles", 300)), seed=seed)
     res = gpu_insert_points(
         mesh, x, y, seed=seed, counter=ctx.counter,
         max_points_per_round=int(strategy.get("max_points_per_round", 4096)),

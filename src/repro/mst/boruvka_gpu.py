@@ -36,7 +36,7 @@ from ..hooks import TRACER, driver_entry
 from ..resilience.policy import launch_ok
 from ..vgpu.atomics import atomic_min
 
-__all__ = ["MSTResult", "boruvka_gpu", "serve_job"]
+__all__ = ["MSTResult", "boruvka_gpu", "barrier_from_strategy", "serve_job"]
 
 _INF = np.int64(2**62)
 
@@ -180,6 +180,15 @@ def _boruvka_impl(num_nodes: int, src: np.ndarray, dst: np.ndarray,
 # repro.serve adapter                                                #
 # ------------------------------------------------------------------ #
 
+def barrier_from_strategy(strategy):
+    """The barrier model a resolved strategy dict selects: its
+    ``barrier`` name in :data:`repro.vgpu.sync.BARRIERS`, or ``None``
+    (the driver's default) when the key is absent."""
+    from ..vgpu.sync import BARRIERS
+
+    return BARRIERS[strategy["barrier"]] if "barrier" in strategy else None
+
+
 def serve_job(params, strategy, seed, ctx):
     """Job adapter for :mod:`repro.serve` (``algorithm="mst"``).
 
@@ -197,19 +206,16 @@ def serve_job(params, strategy, seed, ctx):
     from ..graphgen import random_graph
     from ..serve.mutations import apply_graph_mutations, check_mutations
     from ..tune import resolve_strategy
-    from ..vgpu.sync import FENCE, HIERARCHICAL, NAIVE_ATOMIC
 
     strategy = resolve_strategy("mst", params, strategy)
     mutations = check_mutations("mst", params.get("mutations", ()))
-    barriers = {"fence": FENCE, "hierarchical": HIERARCHICAL,
-                "naive": NAIVE_ATOMIC}
-    barrier = barriers[strategy["barrier"]] if "barrier" in strategy else None
     num_nodes = int(params.get("num_nodes", 300))
     num_edges = int(params.get("num_edges", 4 * num_nodes))
     n, src, dst, w = random_graph(num_nodes, num_edges, seed=seed)
     if mutations:
         src, dst, w = apply_graph_mutations(n, src, dst, w, mutations)
-    res = boruvka_gpu(n, src, dst, w, counter=ctx.counter, barrier=barrier,
+    res = boruvka_gpu(n, src, dst, w, counter=ctx.counter,
+                      barrier=barrier_from_strategy(strategy),
                       resilience=getattr(ctx, "resilience", None))
     summary = {"total_weight": int(res.total_weight), "rounds": res.rounds,
                "num_components": res.num_components,

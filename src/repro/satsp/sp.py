@@ -43,7 +43,7 @@ from .formula import CNF
 from .walksat import walksat
 
 __all__ = ["SPConfig", "SPResult", "survey_iteration", "run_sp",
-           "solve_sp", "serve_job"]
+           "solve_sp", "serve_job", "job_input", "job_solve"]
 
 
 @dataclass
@@ -258,24 +258,26 @@ def solve_sp(cnf: CNF, cfg: SPConfig | None = None,
 # ------------------------------------------------------------------ #
 
 def serve_job(params, strategy, seed, ctx):
-    """Job adapter for :mod:`repro.serve` (``algorithm="sp"``).
+    """Job adapter for :mod:`repro.serve` (``algorithm="sp"``):
+    :func:`job_solve` on :func:`job_input`.
 
-    Builds a random K-SAT formula (``num_vars``, ``k``, ``ratio``) from
-    ``seed`` and runs the full SP + WalkSAT pipeline.  ``strategy``
-    keys map onto :class:`SPConfig`: ``cached`` (the paper's GPU edge
-    cache; False models the multicore baseline), ``damping``, ``eps``,
-    ``decimation_fraction``, ``require_convergence``.
-    ``strategy="auto"`` substitutes the :mod:`repro.tune`
-    cached/tuned configuration, and unknown keys raise ``ValueError``.
-    ``params["mutations"]`` may carry an ``add_clauses``/``drop_clauses``
-    stream (:mod:`repro.serve.mutations`) applied to the generated
-    formula before solving.
+    ``strategy="auto"`` substitutes the :mod:`repro.tune` cached/tuned
+    configuration, and unknown keys raise ``ValueError``.
     """
-    from ..serve.mutations import apply_clause_mutations, check_mutations
     from ..tune import resolve_strategy
-    from .formula import random_ksat
 
     strategy = resolve_strategy("sp", params, strategy)
+    return job_solve(job_input(params, seed), params, strategy, seed, ctx)
+
+
+def job_input(params, seed):
+    """The SP job's formula: random K-SAT (``num_vars``, ``k``,
+    ``ratio``) from ``seed``, with the ``add_clauses``/``drop_clauses``
+    stream in ``params["mutations"]`` (:mod:`repro.serve.mutations`)
+    applied."""
+    from ..serve.mutations import apply_clause_mutations, check_mutations
+    from .formula import random_ksat
+
     mutations = check_mutations("sp", params.get("mutations", ()))
     cnf = random_ksat(int(params.get("num_vars", 200)),
                       int(params.get("k", 3)),
@@ -283,6 +285,15 @@ def serve_job(params, strategy, seed, ctx):
                       seed=seed)
     if mutations:
         cnf = apply_clause_mutations(cnf, mutations)
+    return cnf
+
+
+def job_solve(cnf, params, strategy, seed, ctx):
+    """Run the full SP + WalkSAT pipeline on ``cnf``; returns
+    ``(arrays, summary)``.  Resolved ``strategy`` keys map onto
+    :class:`SPConfig`: ``cached`` (the paper's GPU edge cache; False
+    models the multicore baseline), ``damping``, ``eps``,
+    ``decimation_fraction``, ``require_convergence``."""
     kwargs = {k: strategy[k] for k in
               ("cached", "damping", "eps", "decimation_fraction",
                "require_convergence") if k in strategy}

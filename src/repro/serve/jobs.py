@@ -23,7 +23,13 @@ adapter has the uniform signature::
 
 building its input deterministically from ``params`` + ``seed``,
 running the driver with ``ctx.counter``, and returning the result
-arrays folded into the job digest plus a scalar summary.
+arrays folded into the job digest plus a scalar summary.  The sp,
+insertion and engine adapters are two halves behind
+``resolve_strategy``: an input half ``(params, seed) -> input`` with
+``params["mutations"]`` applied, and a solve half
+``(input, params, strategy, seed, ctx) -> (arrays, summary)``.  Their
+:mod:`repro.sessions` planner keeps the input and calls the same solve
+half, so a session and a cold job share one solve body.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .faults import FaultPlan
 
 __all__ = ["JobSpec", "JobContext", "JobResult", "JobError",
            "digest_arrays", "get_adapter", "known_algorithms",
-           "estimate_cost"]
+           "estimate_cost", "engine_input", "engine_solve"]
 
 
 class JobError(RuntimeError):
@@ -200,23 +206,41 @@ class _ServeColoring:
 
 def _engine_job(params: Mapping, strategy: Mapping, seed: int,
                 ctx: JobContext):
-    """Adapter for ``algorithm="engine"``: recolor a random graph via
-    :func:`repro.core.engine.run_morph_rounds`, with full
-    checkpoint/resume support.  ``params["mutations"]`` may carry an
-    ``add_edges``/``drop_edges``/``reweight_edges`` stream
-    (:mod:`repro.serve.mutations`) applied to the edge list before the
-    graph is frozen into CSR."""
-    from ..graphgen import random_graph, undirected_edges_to_csr
+    """Adapter for ``algorithm="engine"``: :func:`engine_solve` on
+    :func:`engine_input`."""
     from ..tune import resolve_strategy
-    from .mutations import apply_graph_mutations, check_mutations
 
     strategy = resolve_strategy("engine", params, strategy)
+    return engine_solve(engine_input(params, seed), params, strategy, seed,
+                        ctx)
+
+
+def engine_input(params: Mapping, seed: int):
+    """The engine job's graph ``(n, lo, hi, w)``: a random graph
+    (``num_nodes``, ``num_edges``) from ``seed``, with the
+    ``add_edges``/``drop_edges``/``reweight_edges`` stream in
+    ``params["mutations"]`` (:mod:`repro.serve.mutations`) applied to
+    the edge list."""
+    from ..graphgen import random_graph
+    from .mutations import apply_graph_mutations, check_mutations
+
     mutations = check_mutations("engine", params.get("mutations", ()))
     num_nodes = int(params.get("num_nodes", 200))
     num_edges = int(params.get("num_edges", 3 * num_nodes))
     n, src, dst, w = random_graph(num_nodes, num_edges, seed=seed)
     if mutations:
         src, dst, w = apply_graph_mutations(n, src, dst, w, mutations)
+    return n, src, dst, w
+
+
+def engine_solve(graph, params: Mapping, strategy: Mapping, seed: int,
+                 ctx: JobContext):
+    """Recolor ``graph`` (frozen into CSR) via
+    :func:`repro.core.engine.run_morph_rounds`, with full
+    checkpoint/resume support; returns ``(arrays, summary)``."""
+    from ..graphgen import undirected_edges_to_csr
+
+    n, src, dst, w = graph
     g = undirected_edges_to_csr(n, src, dst, w)
 
     colors = np.random.default_rng(seed).integers(0, 2, size=n)

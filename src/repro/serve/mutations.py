@@ -40,7 +40,8 @@ import numpy as np
 
 __all__ = ["OPS_BY_ALGORITHM", "GraphMutationEffect", "check_mutations",
            "apply_graph_mutations", "apply_graph_mutations_tracked",
-           "apply_clause_mutations", "apply_constraint_mutations",
+           "apply_clause_mutations", "apply_clause_mutations_tracked",
+           "apply_constraint_mutations",
            "apply_point_mutations", "mutation_points"]
 
 #: max exclusive edge weight, matching ``repro.graphgen.generators``
@@ -224,9 +225,20 @@ def apply_graph_mutations_tracked(num_nodes: int, lo: np.ndarray,
 
 def apply_clause_mutations(cnf, mutations: Iterable[Mapping]):
     """Apply a clause-mutation stream to a :class:`repro.satsp.formula.CNF`."""
+    return apply_clause_mutations_tracked(cnf, mutations)[0]
+
+
+def apply_clause_mutations_tracked(cnf, mutations: Iterable[Mapping]):
+    """:func:`apply_clause_mutations` plus the touched variables.
+
+    Same formula output (same RNG draw sequence); the second return
+    value is the sorted unique variables of every clause the stream
+    added or dropped.
+    """
     from ..satsp.formula import CNF, random_ksat
 
     vars_, signs = cnf.vars, cnf.signs
+    touched = [np.zeros(0, dtype=np.int64)]
     for op in mutations:
         rng, count = _op_rng(op), _count(op)
         if op["op"] == "add_clauses":
@@ -234,12 +246,14 @@ def apply_clause_mutations(cnf, mutations: Iterable[Mapping]):
                                 seed=int(op.get("seed", 0)))
             vars_ = np.concatenate([vars_, extra.vars])
             signs = np.concatenate([signs, extra.signs])
+            touched.append(extra.vars.ravel())
         elif op["op"] == "drop_clauses":
             keep = _drop_indices(rng, vars_.shape[0], count)
+            touched.append(vars_[~keep].ravel())
             vars_, signs = vars_[keep], signs[keep]
         else:  # pragma: no cover
             raise ValueError(f"unknown clause mutation {op['op']!r}")
-    return CNF(cnf.num_vars, vars_, signs)
+    return CNF(cnf.num_vars, vars_, signs), np.unique(np.concatenate(touched))
 
 
 # ------------------------------------------------------------------ #

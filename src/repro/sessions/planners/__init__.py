@@ -13,13 +13,14 @@ mutation batch, how much of the previous answer survives:
   new constraints touch (adds are monotone; drops force a full solve);
 * :mod:`~repro.sessions.planners.mesh` — DMR keeps the *unrefined*
   staged mesh so new ``insert_points`` ops replay incrementally before
-  re-refinement; insertion reuses its cached answer on no-op batches;
-* :mod:`~repro.sessions.planners.sp` /
-  :mod:`~repro.sessions.planners.engine` — conservative: they measure
-  the dirty region honestly (clause-reachability closure, endpoints of
-  changed edges) but always recompute on effective change, because
-  their drivers' results depend on a global RNG trajectory that no
-  local recompute can reproduce.
+  re-refinement;
+* :mod:`~repro.sessions.planners.recompute` — one planner for SP,
+  insertion and the engine: it keeps the mutated input, measures the
+  dirty region honestly (clause-reachability closure, endpoints of
+  changed edges, point-count change), serves no-op batches from cache
+  and otherwise runs the cold adapter's own solve half, because these
+  drivers' results depend on a global RNG trajectory that no local
+  recompute can reproduce.
 
 Every planner upholds the differential guarantee: after ``apply_batch``
 its ``arrays`` are byte-identical to what the algorithm's cold
@@ -31,6 +32,7 @@ A planner that cannot do that incrementally for some batch must say so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 __all__ = ["BatchOutcome", "planner_for", "planned_algorithms"]
 
@@ -60,7 +62,8 @@ class BatchOutcome:
 
 
 def planner_for(algorithm: str):
-    """The planner class registered for ``algorithm`` (lazy imports —
+    """The planner factory for ``algorithm``: called with ``(params,
+    strategy, seed)`` it builds the session's planner (lazy imports —
     a session should only pay for the one driver stack it uses)."""
     if algorithm == "mst":
         from .mst import MstPlanner
@@ -68,18 +71,12 @@ def planner_for(algorithm: str):
     if algorithm == "pta":
         from .pta import PtaPlanner
         return PtaPlanner
-    if algorithm == "sp":
-        from .sp import SpPlanner
-        return SpPlanner
     if algorithm == "dmr":
         from .mesh import DmrPlanner
         return DmrPlanner
-    if algorithm == "insertion":
-        from .mesh import InsertionPlanner
-        return InsertionPlanner
-    if algorithm == "engine":
-        from .engine import EnginePlanner
-        return EnginePlanner
+    if algorithm in ("engine", "insertion", "sp"):
+        from .recompute import RecomputePlanner
+        return partial(RecomputePlanner, algorithm)
     raise KeyError(
         f"no session planner for algorithm {algorithm!r}; known: "
         f"{', '.join(planned_algorithms())}")

@@ -82,13 +82,6 @@ class MstPlanner:
         self.arrays: tuple = ()
         self.summary: dict = {}
 
-    def _barrier(self):
-        from ...vgpu.sync import FENCE, HIERARCHICAL, NAIVE_ATOMIC
-        barriers = {"fence": FENCE, "hierarchical": HIERARCHICAL,
-                    "naive": NAIVE_ATOMIC}
-        return (barriers[self.strategy["barrier"]]
-                if "barrier" in self.strategy else None)
-
     def open(self, counter, resilience=None) -> None:
         """Cold build + solve, mirroring the serve adapter exactly."""
         from ...graphgen import random_graph
@@ -105,10 +98,11 @@ class MstPlanner:
         self._solve_full(counter, resilience)
 
     def _solve_full(self, counter, resilience) -> None:
-        from ...mst.boruvka_gpu import boruvka_gpu
+        from ...mst.boruvka_gpu import barrier_from_strategy, boruvka_gpu
 
         res = boruvka_gpu(self.n, self.lo, self.hi, self.w,
-                          counter=counter, barrier=self._barrier(),
+                          counter=counter,
+                          barrier=barrier_from_strategy(self.strategy),
                           resilience=resilience)
         self.mst = np.asarray(res.mst_edges, dtype=np.int64)
         self._publish(res.rounds, res.num_components)

@@ -261,7 +261,10 @@ class Session:
                 f"(raise compact_after)")
         if mutations:
             params["mutations"] = mutations
+        # The strategy the session resolved at open: an "auto" spec
+        # re-resolved against the mutated params would tune (and check)
+        # a different problem.
         adapter = get_adapter(self.spec.algorithm)
-        arrays, _ = adapter(params, self.spec.strategy, self.spec.seed,
+        arrays, _ = adapter(params, self.planner.strategy, self.spec.seed,
                             JobContext(counter=OpCounter()))
         return digest_arrays(arrays)

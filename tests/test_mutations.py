@@ -15,7 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphgen import random_graph
-from repro.serve.mutations import (OPS_BY_ALGORITHM, apply_graph_mutations,
+from repro.satsp.formula import random_ksat
+from repro.serve.mutations import (OPS_BY_ALGORITHM,
+                                   apply_clause_mutations_tracked,
+                                   apply_graph_mutations,
                                    apply_graph_mutations_tracked,
                                    apply_point_mutations, check_mutations)
 
@@ -165,3 +168,37 @@ def test_tracked_mutations_match_untracked_and_remap_correctly(stream):
     keep = ~eff.changed[dst]
     assert np.array_equal(w2[dst[keep]], w[src[keep]])
     assert eff.changed.size == lo2.size
+
+
+_clause_op_strategy = st.lists(
+    st.tuples(st.sampled_from(["add_clauses", "drop_clauses"]),
+              st.integers(0, 12), st.integers(0, 1000)),
+    min_size=1, max_size=5)
+
+
+@_settings
+@given(stream=_clause_op_strategy)
+def test_tracked_clause_mutations_report_every_touched_variable(stream):
+    cnf = random_ksat(20, 3, num_clauses=40, seed=5)
+    ops = [{"op": name, "count": count, "seed": seed}
+           for name, count, seed in stream]
+    out, touched = apply_clause_mutations_tracked(cnf, ops)
+    # Op by op composes to the same formula and the same touched set.
+    step, union = cnf, set()
+    for op in ops:
+        step, t = apply_clause_mutations_tracked(step, [op])
+        union |= set(t.tolist())
+    assert np.array_equal(step.vars, out.vars)
+    assert np.array_equal(step.signs, out.signs)
+    assert set(touched.tolist()) == union
+    assert np.array_equal(touched, np.unique(touched))
+    # Every clause the stream added or dropped has all its variables in
+    # ``touched``; a stream of zero counts touches nothing.
+    before = {tuple(r) for r in np.concatenate(
+        [cnf.vars, cnf.signs], axis=1).tolist()}
+    after = {tuple(r) for r in np.concatenate(
+        [out.vars, out.signs], axis=1).tolist()}
+    for row in before ^ after:
+        assert set(row[:3]) <= set(touched.tolist())
+    if all(count == 0 for _, count, _ in stream):
+        assert touched.size == 0

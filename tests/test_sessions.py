@@ -42,15 +42,15 @@ STREAMS = {
             [[{"op": "add_constraints", "count": 5, "seed": 1}],
              [{"op": "add_constraints", "count": 5, "seed": 2}],
              [{"op": "drop_constraints", "count": 3, "seed": 3}]]),
-    "sp": ({"num_vars": 50, "num_clauses": 170},
+    "sp": ({"num_vars": 50, "ratio": 3.4},
            [[{"op": "add_clauses", "count": 5, "seed": 1}],
             [{"op": "drop_clauses", "count": 3, "seed": 2}],
             [{"op": "add_clauses", "count": 2, "seed": 3}]]),
-    "dmr": ({"num_points": 50, "threshold": 22.0},
+    "dmr": ({"n_triangles": 600},
             [[{"op": "insert_points", "count": 3, "seed": 1}],
              [{"op": "insert_points", "count": 2, "seed": 2}],
              [{"op": "insert_points", "count": 2, "seed": 3}]]),
-    "insertion": ({"num_points": 70},
+    "insertion": ({"n_points": 70},
                   [[{"op": "add_points", "count": 4, "seed": 1}],
                    [{"op": "drop_points", "count": 3, "seed": 2}],
                    [{"op": "add_points", "count": 2, "seed": 3}]]),
@@ -73,7 +73,7 @@ def _spec(algorithm, seed, *, name=None, params=None, batches=None, **kw):
 def test_planner_registry_covers_all_algorithms():
     assert planned_algorithms() == sorted(STREAMS)
     for algo in planned_algorithms():
-        assert planner_for(algo).algorithm == algo
+        assert planner_for(algo)({}, {}, 0).algorithm == algo
 
 
 # --------------------------------------------------------------------- #
@@ -91,6 +91,150 @@ def test_differential_gate(algorithm, seed):
         assert matches, (
             f"{algorithm} seed={seed} batch={result.batch} "
             f"mode={result.mode}: session {result.digest} != cold {cold}")
+
+
+#: Every ``BatchResult`` field but ``note`` for the full-recompute
+#: algorithms' STREAMS sessions, as (mode, dirty, population, cost_s,
+#: full_cost_s, digest prefix, summary values); row 0 is the open.  A
+#: refactor of the recompute path must leave all of it unchanged.
+RECOMPUTE_PINNED = {
+    ('engine', 1): [
+        ('open', 0, 0, 0.0059695513043478265, 0.0059695513043478265, 'a32fc6ce4cebc96f',
+         (47, 49, 1762, 7, True)),
+        ('full', 8, 70, 0.0062776173913043475, 0.0062776173913043475, '4cbd74f6bfad7186',
+         (49, 54, 1953, 7, True)),
+        ('full', 7, 70, 0.0062776173913043475, 0.0062776173913043475, '4cbd74f6bfad7186',
+         (49, 54, 1953, 7, True)),
+        ('full', 6, 70, 0.00590592, 0.00590592, '80f496b7237e849d',
+         (47, 48, 1808, 6, True)),
+    ],
+    ('engine', 2): [
+        ('open', 0, 0, 0.0065433495652173915, 0.0065433495652173915, '35bf0c1387abd513',
+         (50, 52, 1840, 6, True)),
+        ('full', 9, 70, 0.006341989565217391, 0.006341989565217391, 'b0e8253c23764577',
+         (49, 52, 1791, 7, True)),
+        ('full', 8, 70, 0.006341989565217391, 0.006341989565217391, 'b0e8253c23764577',
+         (49, 52, 1791, 7, True)),
+        ('full', 6, 70, 0.006214820869565218, 0.006214820869565218, '1162b205d9c33157',
+         (49, 52, 1856, 8, True)),
+    ],
+    ('engine', 3): [
+        ('open', 0, 0, 0.006617154782608696, 0.006617154782608696, 'bf6d6a8f9e6a8f7e',
+         (51, 53, 1887, 6, True)),
+        ('full', 10, 70, 0.006108271304347826, 0.006108271304347826, '491566ed398bce20',
+         (48, 50, 1756, 7, True)),
+        ('full', 8, 70, 0.006108271304347826, 0.006108271304347826, '491566ed398bce20',
+         (48, 50, 1756, 7, True)),
+        ('full', 5, 70, 0.006627871304347826, 0.006627871304347826, '8579c667a149d768',
+         (52, 53, 1940, 6, True)),
+    ],
+    ('insertion', 1): [
+        ('open', 0, 0, 0.006264709565217391, 0.006264709565217391, 'a3e7a1745b0c889d',
+         (53, 70, 0, 448, 438)),
+        ('full', 4, 74, 0.006509071304347826, 0.006509071304347826, '5e12fd5d632f5f2b',
+         (55, 74, 0, 462, 446)),
+        ('full', 3, 71, 0.006276521739130435, 0.006276521739130435, '0931f519963238e7',
+         (54, 71, 0, 449, 440)),
+        ('full', 2, 73, 0.006648166956521739, 0.006648166956521739, '6834146f3264ca33',
+         (56, 73, 0, 468, 444)),
+    ],
+    ('insertion', 2): [
+        ('open', 0, 0, 0.005820709565217391, 0.005820709565217391, '4135cfc8cb2ea874',
+         (50, 70, 0, 401, 438)),
+        ('full', 4, 74, 0.0060651130434782605, 0.0060651130434782605, '5759d94dc4745d0c',
+         (52, 74, 0, 420, 446)),
+        ('full', 3, 71, 0.00736016347826087, 0.00736016347826087, 'f9467ebf32d980ff',
+         (63, 71, 0, 554, 440)),
+        ('full', 2, 73, 0.0074983304347826085, 0.0074983304347826085, '9adf9f723a982b38',
+         (64, 73, 0, 577, 444)),
+    ],
+    ('insertion', 3): [
+        ('open', 0, 0, 0.006307533913043478, 0.006307533913043478, '8207db463aebc23f',
+         (54, 70, 0, 452, 438)),
+        ('full', 4, 74, 0.006445700869565217, 0.006445700869565217, 'b232f35ab6df968b',
+         (55, 74, 0, 462, 446)),
+        ('full', 3, 71, 0.006212389565217392, 0.006212389565217392, '8a686f65fe89da39',
+         (54, 71, 0, 464, 440)),
+        ('full', 2, 73, 0.006765130434782609, 0.006765130434782609, 'a2ccfa5d7937adf1',
+         (58, 73, 0, 496, 444)),
+    ],
+    ('sp', 1): [
+        ('open', 0, 0, 1.0445217391304347e-05, 1.0445217391304347e-05, '70de6a60c3b5c61a',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, '512eec3cc24bfcdb',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, 'a428ea51da0a01a5',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, 'a428ea51da0a01a5',
+         ('SAT', 0, 0, 0, 50)),
+    ],
+    ('sp', 2): [
+        ('open', 0, 0, 1.0445217391304347e-05, 1.0445217391304347e-05, '3f192a2248c92d9d',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, 'f6e6ba25aa206604',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, 'f6e6ba25aa206604',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, 'f6e6ba25aa206604',
+         ('SAT', 0, 0, 0, 50)),
+    ],
+    ('sp', 3): [
+        ('open', 0, 0, 1.0445217391304347e-05, 1.0445217391304347e-05, '982f53de5b62a878',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, '78d79ef19348e0e5',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, 'e7ec2a4945b9133b',
+         ('SAT', 0, 0, 0, 50)),
+        ('full', 50, 50, 1.0445217391304347e-05, 1.0445217391304347e-05, 'e7ec2a4945b9133b',
+         ('SAT', 0, 0, 0, 50)),
+    ],
+}
+
+SUMMARY_KEYS = {
+    "engine": ("rounds", "applied", "aborted", "num_colors", "proper"),
+    "insertion": ("rounds", "inserted", "duplicates_skipped",
+                  "aborted_conflicts", "triangles"),
+    "sp": ("status", "phases", "total_iterations", "fixed_by_sp",
+           "solved_by_walksat"),
+}
+
+
+@pytest.mark.parametrize("algorithm,seed", sorted(RECOMPUTE_PINNED))
+def test_recompute_batches_pinned(algorithm, seed):
+    """Recompute sessions: per-batch mode, dirty region, modeled cost,
+    digest and summary all equal the pinned values."""
+    session = Session.open(_spec(algorithm, seed))
+    got = [("open", 0, 0, session.full_cost_s, session.full_cost_s,
+            session.digest()[:16], session.summary)]
+    for ops in session.spec.batches:
+        r = session.apply_batch(ops)
+        assert r.dirty_fraction == r.dirty / r.population
+        assert r.cost_ratio == r.cost_s / r.full_cost_s
+        got.append((r.mode, r.dirty, r.population, r.cost_s, r.full_cost_s,
+                    r.digest[:16], r.summary))
+    keys = SUMMARY_KEYS[algorithm]
+    want = [row[:6] + (dict(zip(keys, row[6])),)
+            for row in RECOMPUTE_PINNED[(algorithm, seed)]]
+    assert got == want
+
+
+def test_cold_check_reuses_the_resolved_auto_strategy(tmp_path, monkeypatch):
+    """``verify_full`` on an ``"auto"`` session checks the configuration
+    the session resolved; it must not tune a second problem keyed by the
+    mutated params."""
+    from repro.tune import TuningCache
+
+    cache = tmp_path / "tune.json"
+    monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
+    spec = SessionSpec(name="sp-auto", algorithm="sp",
+                       params={"num_vars": 60}, strategy="auto", seed=1,
+                       batches=[[{"op": "add_clauses", "count": 5,
+                                  "seed": 1}]])
+    session = Session.open(spec)
+    session.apply_batch(spec.batches[0])
+    assert len(TuningCache(cache).load()) == 1
+    assert session.verify_full()[0]
+    assert len(TuningCache(cache).load()) == 1
 
 
 def test_sequential_composition_equals_concatenation():
@@ -185,10 +329,11 @@ def test_small_delta_cost_win(algorithm, params, batch):
 # Checkpoint / resume
 # --------------------------------------------------------------------- #
 
-def test_checkpoint_resume_byte_identity(tmp_path):
+@pytest.mark.parametrize("algorithm", planned_algorithms())
+def test_checkpoint_resume_byte_identity(tmp_path, algorithm):
     """Save mid-stream, resume, finish: digest and per-batch history
     equal an uninterrupted session's."""
-    spec = _spec("mst", 6, checkpoint_every=1)
+    spec = _spec(algorithm, 6, checkpoint_every=1)
     straight = Session.open(spec)
     for ops in spec.batches:
         straight.apply_batch(ops)
@@ -204,8 +349,8 @@ def test_checkpoint_resume_byte_identity(tmp_path):
     assert len(resumed.results) == 2
     resumed.apply_batch(spec.batches[2])
     assert resumed.digest() == straight.digest()
-    assert ([r.digest for r in resumed.results]
-            == [r.digest for r in straight.results])
+    assert ([r.to_dict() for r in resumed.results]
+            == [r.to_dict() for r in straight.results])
     assert resumed.digest() == resumed.cold_digest()
 
 
